@@ -701,9 +701,11 @@ fn persist_gates(
 /// within-run invariants rather than baseline comparisons:
 /// `ivm_speedup` must stay at or above `IVM_SPEEDUP_FLOOR` (the whole
 /// point of the delta path is a ~order-of-magnitude win over recompute
-/// at dashboard tick sizes), and `ivm_rows_per_tick` must not exceed
+/// at dashboard tick sizes), `ivm_rows_per_tick` must not exceed
 /// the configured `tick_rows` (scanning past the appended batch means
-/// the delta path silently degraded to something table-sized).
+/// the delta path silently degraded to something table-sized), and
+/// `append_growth_4x` must stay at or below `APPEND_GROWTH_CEILING`
+/// (an append into a 4x larger table may cost at most 1.5x as much).
 fn ivm_gates(
     args: &Args,
     compared: &mut usize,
@@ -839,6 +841,38 @@ fn ivm_gates(
         }
         _ => failures.push(format!(
             "ivm_speedup: missing or malformed in the fresh run ({fresh_path}) — the \
+             bench stopped measuring it"
+        )),
+    }
+
+    // Append-growth gate: absolute, like the speedup floor — both
+    // figures come from the same run on the same host. An append that
+    // copies pointers plus the open tail costs about the same at 4x the
+    // rows; one that copies the table costs ~4x.
+    const APPEND_GROWTH_CEILING: f64 = 1.5;
+    match field(&fresh, "append_growth_4x") {
+        Field::Val(growth) => {
+            *compared += 1;
+            let verdict = if growth <= APPEND_GROWTH_CEILING {
+                "ok"
+            } else {
+                "REGRESSED"
+            };
+            println!(
+                "  {:<24} fresh {growth:9.3} vs absolute ceiling {APPEND_GROWTH_CEILING:9.3} x  \
+                 {verdict}",
+                "append_growth_4x"
+            );
+            if growth > APPEND_GROWTH_CEILING {
+                failures.push(format!(
+                    "append_growth_4x: an append into a 4x larger table costs {growth:.2}x \
+                     as much (allowed: {APPEND_GROWTH_CEILING}x) — appends are doing \
+                     table-sized work"
+                ));
+            }
+        }
+        _ => failures.push(format!(
+            "append_growth_4x: missing or malformed in the fresh run ({fresh_path}) — the \
              bench stopped measuring it"
         )),
     }

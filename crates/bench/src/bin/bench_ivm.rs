@@ -18,6 +18,14 @@
 //!   stats gathered at seal time, so only the unsealed tail is decoded;
 //!   a value at or past one chunk means append cost regressed to O(n)
 //!   and the run exits nonzero.
+//! * `append_p50_ms` — the warm engine's `append_rows` of one tick's
+//!   batch, timed around the call (the IVM timers above start after it
+//!   returns). `append_4m_p50_ms` times the same batches into a twin
+//!   engine over a table 4x larger, and `append_growth_4x` is their
+//!   ratio: an O(delta) append stays near 1x, an O(table) one near 4x.
+//!   `bitmap_append_p50_ms`, `bitmap_append_4m_p50_ms` and
+//!   `bitmap_append_growth_4x` are the same for `BitmapDb`, whose
+//!   append also refreshes the bitmap indexes.
 //!
 //! ```text
 //! bench_ivm [--rows N] [--ticks T] [--tick-rows R] [--json PATH]
@@ -34,8 +42,8 @@ use std::time::Instant;
 
 use zv_datagen::sales::{self, SalesConfig};
 use zv_storage::{
-    Agg, CacheConfig, Database, FaultSpec, ResultTable, ScanDb, ScanDbConfig, SelectQuery, Value,
-    XSpec, YSpec,
+    Agg, BitmapDb, BitmapDbConfig, CacheConfig, Database, FaultSpec, ResultTable, ScanDb,
+    ScanDbConfig, SelectQuery, Table, Value, XSpec, YSpec,
 };
 
 struct Args {
@@ -108,13 +116,40 @@ fn agree(a: &ResultTable, b: &ResultTable) -> bool {
     })
 }
 
+/// The `t`-th tick's batch: copies of existing rows of `table`, spread
+/// over the table and rotated per tick so some ticks bring fresh
+/// combinations. Every dictionary value is already known.
+fn tick_batch(table: &Table, t: usize, tick_rows: usize) -> Vec<Vec<Value>> {
+    (0..tick_rows)
+        .map(|r| table.row((t * 7919 + r * 13) % table.num_rows()))
+        .collect()
+}
+
+/// p50 of `append_rows` into `db`, one tick's batch per sample; each
+/// batch is built before its clock starts.
+fn append_p50_ms(db: &dyn Database, table: &Table, args: &Args) -> f64 {
+    let mut us: Vec<u64> = (0..args.ticks)
+        .map(|t| {
+            let batch = tick_batch(table, t, args.tick_rows);
+            let start = Instant::now();
+            db.append_rows(&batch).unwrap();
+            start.elapsed().as_micros() as u64
+        })
+        .collect();
+    us.sort_unstable();
+    percentile_ms(&us, 50.0)
+}
+
 fn main() -> ExitCode {
     let args = parse_args();
-    let table = sales::generate(&SalesConfig {
-        rows: args.rows,
-        products: 50,
-        ..Default::default()
-    });
+    let sales_table = |rows: usize| {
+        sales::generate(&SalesConfig {
+            rows,
+            products: 50,
+            ..Default::default()
+        })
+    };
+    let table = sales_table(args.rows);
 
     // Fault injection explicitly disabled: the `ivm-live` CI leg arms
     // `ZV_FAULT_*` process-wide for the chaos suites, and a faulted
@@ -149,6 +184,7 @@ fn main() -> ExitCode {
         });
 
     let mut failures: Vec<String> = Vec::new();
+    let mut append_us: Vec<u64> = Vec::with_capacity(args.ticks);
     let mut warm_us: Vec<u64> = Vec::with_capacity(args.ticks);
     let mut cold_us: Vec<u64> = Vec::with_capacity(args.ticks);
     let mut ivm_rows_per_tick = 0u64;
@@ -156,14 +192,10 @@ fn main() -> ExitCode {
     let mut ivm_hits = 0u64;
 
     for t in 0..args.ticks {
-        // Re-append copies of existing rows: schema-agnostic, every
-        // dictionary code already known plus nothing — so some ticks are
-        // rotated to start past row 0 and introduce fresh combinations.
-        let batch: Vec<Vec<Value>> = (0..args.tick_rows)
-            .map(|r| table.row((t * 7919 + r * 13) % table.num_rows()))
-            .collect();
-
+        let batch = tick_batch(&table, t, args.tick_rows);
+        let start = Instant::now();
         warm_db.append_rows(&batch).unwrap();
+        append_us.push(start.elapsed().as_micros() as u64);
         let before = warm_db.stats().snapshot();
         let start = Instant::now();
         let warm = warm_db
@@ -214,8 +246,33 @@ fn main() -> ExitCode {
         }
     }
 
+    // Append cost at 1x and 4x the table: the same batch shapes into
+    // twin engines (cache off — an append's cost does not depend on
+    // it), the 4x table built only after the 1x engines are done.
+    let mut no_fault = ScanDbConfig::uncached();
+    no_fault.parallel.fault = FaultSpec::disabled();
+    let mut bitmap_cfg = BitmapDbConfig::uncached();
+    bitmap_cfg.parallel.fault = FaultSpec::disabled();
+    let bitmap_append_ms = {
+        let db = BitmapDb::with_config(table.clone(), bitmap_cfg.clone());
+        append_p50_ms(&db, &table, &args)
+    };
+    drop((warm_db, cold_db));
+    let big = sales_table(4 * args.rows);
+    let (append_4m_ms, bitmap_append_4m_ms) = {
+        let scan = ScanDb::with_config(big.clone(), no_fault);
+        let scan_ms = append_p50_ms(&scan, &big, &args);
+        drop(scan);
+        let bitmap = BitmapDb::with_config(big.clone(), bitmap_cfg);
+        (scan_ms, append_p50_ms(&bitmap, &big, &args))
+    };
+
+    append_us.sort_unstable();
     warm_us.sort_unstable();
     cold_us.sort_unstable();
+    let append_ms = percentile_ms(&append_us, 50.0);
+    let append_growth = append_4m_ms / append_ms.max(1e-6);
+    let bitmap_append_growth = bitmap_append_4m_ms / bitmap_append_ms.max(1e-6);
     let warm_p50 = percentile_ms(&warm_us, 50.0);
     let warm_p99 = percentile_ms(&warm_us, 99.0);
     let cold_p50 = percentile_ms(&cold_us, 50.0);
@@ -236,6 +293,14 @@ fn main() -> ExitCode {
         " speedup    {speedup:8.1}x   ivm hits {ivm_hits}/{}",
         args.ticks
     );
+    println!(
+        " append     p50 {append_ms:8.3} ms   4x rows {append_4m_ms:8.3} ms   \
+         growth {append_growth:5.2}x   (ScanDb)"
+    );
+    println!(
+        " append     p50 {bitmap_append_ms:8.3} ms   4x rows {bitmap_append_4m_ms:8.3} ms   \
+         growth {bitmap_append_growth:5.2}x   (BitmapDb, index refresh included)"
+    );
 
     if let Some(path) = &args.json {
         let json = format!(
@@ -244,7 +309,13 @@ fn main() -> ExitCode {
              \"cold_tick_p50_ms\": {cold_p50:.4},\n  \"cold_tick_p99_ms\": {cold_p99:.4},\n  \
              \"ivm_speedup\": {speedup:.2},\n  \"ivm_rows_per_tick\": {ivm_rows_per_tick},\n  \
              \"dim_stat_rows_per_tick\": {dim_stat_rows_per_tick},\n  \
-             \"ivm_hits\": {ivm_hits}\n}}\n",
+             \"ivm_hits\": {ivm_hits},\n  \
+             \"append_p50_ms\": {append_ms:.4},\n  \
+             \"append_4m_p50_ms\": {append_4m_ms:.4},\n  \
+             \"append_growth_4x\": {append_growth:.3},\n  \
+             \"bitmap_append_p50_ms\": {bitmap_append_ms:.4},\n  \
+             \"bitmap_append_4m_p50_ms\": {bitmap_append_4m_ms:.4},\n  \
+             \"bitmap_append_growth_4x\": {bitmap_append_growth:.3}\n}}\n",
             args.rows, args.ticks, args.tick_rows,
         );
         std::fs::write(path, &json).unwrap_or_else(|e| {

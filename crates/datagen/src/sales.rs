@@ -265,9 +265,9 @@ pub fn generate(cfg: &SalesConfig) -> Arc<Table> {
         Column::Cat(size),
         Column::Int(years.into()),
         Column::Int(months.into()),
-        Column::Float(weights),
-        Column::Float(sales),
-        Column::Float(profits),
+        Column::Float(weights.into()),
+        Column::Float(sales.into()),
+        Column::Float(profits.into()),
     ];
     Arc::new(Table::from_columns(schema, columns).expect("generator schema is consistent"))
 }

@@ -17,9 +17,16 @@
 //! `push_ascending` into its value bitmap; only an integer column whose
 //! value range grew out of its existing code space pays a full
 //! per-column rebuild.
+//!
+//! The copy is structural: the next snapshot shares every sealed column
+//! chunk ([`crate::column`]) and every bitmap container
+//! ([`crate::roaring`]) the append does not write. An append of `d`
+//! rows therefore costs O(d + chunks + containers), not O(table): it
+//! copies pointers, the open column tails, and the last container of
+//! each bitmap it writes to.
 
 use crate::cache::{CacheConfig, ResultCache};
-use crate::column::Column;
+use crate::column::{Chunked, Coded, Column};
 use crate::db::{Database, EngineSnapshot};
 use crate::exec::{self, compile_pred, RowSource};
 use crate::lifecycle::QueryCtx;
@@ -124,12 +131,29 @@ struct BitmapState {
     unindexable: HashSet<String>,
 }
 
+/// One bitmap of row ids per code (`code_of` maps a value to its code),
+/// built one 2^16-row container window at a time: the window's row ids
+/// are bucketed per code, and each nonempty bucket becomes one container.
+fn build_bitmaps<T: Coded>(
+    col: &Chunked<T>,
+    codes: usize,
+    code_of: impl Fn(T) -> usize,
+) -> Vec<RoaringBitmap> {
+    let mut bitmaps = vec![RoaringBitmap::new(); codes];
+    let mut buckets: Vec<Vec<u16>> = vec![Vec::new(); codes];
+    for start in (0..col.len()).step_by(1 << 16) {
+        let end = col.len().min(start + (1 << 16));
+        col.for_each_range(start, end, |row, v| buckets[code_of(v)].push(row as u16));
+        for (bm, bucket) in bitmaps.iter_mut().zip(&mut buckets) {
+            bm.push_container((start >> 16) as u16, bucket);
+            bucket.clear();
+        }
+    }
+    bitmaps
+}
+
 fn build_cat_index(c: &crate::column::CatColumn, run_optimize: bool) -> ColumnIndex {
-    let mut bitmaps: Vec<RoaringBitmap> =
-        (0..c.cardinality()).map(|_| RoaringBitmap::new()).collect();
-    c.codes().for_each_range(0, c.len(), |row, code| {
-        bitmaps[code as usize].push_ascending(row as u32);
-    });
+    let mut bitmaps = build_bitmaps(c.codes(), c.cardinality(), |code| code as usize);
     if run_optimize {
         for bm in &mut bitmaps {
             bm.run_optimize();
@@ -151,11 +175,7 @@ fn build_int_index(v: &crate::column::IntColumn, config: &BitmapDbConfig) -> Opt
     if card > config.int_index_max_card as u128 {
         return None;
     }
-    let mut bitmaps: Vec<RoaringBitmap> =
-        (0..card as usize).map(|_| RoaringBitmap::new()).collect();
-    v.for_each_range(0, v.len(), |row, val| {
-        bitmaps[(val - lo) as usize].push_ascending(row as u32);
-    });
+    let mut bitmaps = build_bitmaps(v, card as usize, |val| (val - lo) as usize);
     if config.run_optimize {
         for bm in &mut bitmaps {
             bm.run_optimize();
@@ -197,13 +217,19 @@ fn build_state(table: Arc<Table>, config: &BitmapDbConfig) -> BitmapState {
     }
 }
 
-/// Sorted, deduplicated code list of one append batch (so each touched
-/// bitmap is re-compressed exactly once).
-fn dedup_codes(codes: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut out: Vec<usize> = codes.collect();
-    out.sort_unstable();
-    out.dedup();
-    out
+/// Appends devolve run containers: re-compress each bitmap one batch
+/// touched, once, from the old tail's container key on.
+fn reoptimize(
+    bitmaps: &mut [RoaringBitmap],
+    touched: &[bool],
+    tail_key: u16,
+    config: &BitmapDbConfig,
+) {
+    if config.run_optimize {
+        for (bm, _) in bitmaps.iter_mut().zip(touched).filter(|(_, &t)| t) {
+            bm.run_optimize_from(tail_key);
+        }
+    }
 }
 
 impl BitmapState {
@@ -213,7 +239,14 @@ impl BitmapState {
     /// row; an integer index whose value range grew falls back to a full
     /// per-column rebuild (or is dropped if it outgrew the cardinality
     /// budget — residual predicate scans stay correct without it).
+    ///
+    /// Appends write only containers with key ≥ `old_rows >> 16`, and
+    /// every container below that key was already run-optimized when it
+    /// was last written, so re-optimizing from that key on gives exactly
+    /// the containers a whole-bitmap pass would — while leaving the
+    /// containers shared with the previous snapshot untouched.
     fn refresh_indexes(&mut self, old_rows: usize, config: &BitmapDbConfig) {
+        let tail_key = (old_rows >> 16) as u16;
         let table = &self.table;
         let indexes = &mut self.indexes;
         let unindexable = &mut self.unindexable;
@@ -227,18 +260,12 @@ impl BitmapState {
                     while ix.bitmaps.len() < c.cardinality() {
                         ix.bitmaps.push(RoaringBitmap::new());
                     }
-                    let mut batch: Vec<usize> = Vec::new();
+                    let mut touched = vec![false; ix.bitmaps.len()];
                     c.codes().for_each_range(old_rows, c.len(), |row, code| {
                         ix.bitmaps[code as usize].push_ascending(row as u32);
-                        batch.push(code as usize);
+                        touched[code as usize] = true;
                     });
-                    if config.run_optimize {
-                        // Appends devolve run containers; re-compress
-                        // each bitmap this batch touched, once.
-                        for code in dedup_codes(batch.into_iter()) {
-                            ix.bitmaps[code].run_optimize();
-                        }
-                    }
+                    reoptimize(&mut ix.bitmaps, &touched, tail_key, config);
                 }
                 Column::Int(v) => {
                     if unindexable.contains(&field.name) {
@@ -259,18 +286,13 @@ impl BitmapState {
                             );
                         });
                         if in_range {
-                            let mut batch: Vec<usize> = Vec::new();
+                            let mut touched = vec![false; ix.bitmaps.len()];
                             v.for_each_range(old_rows, v.len(), |row, val| {
-                                ix.bitmaps[(val - int_min) as usize].push_ascending(row as u32);
-                                batch.push((val - int_min) as usize);
+                                let code = (val - int_min) as usize;
+                                ix.bitmaps[code].push_ascending(row as u32);
+                                touched[code] = true;
                             });
-                            if config.run_optimize {
-                                // Appends devolve run containers;
-                                // re-compress each touched bitmap, once.
-                                for code in dedup_codes(batch.into_iter()) {
-                                    ix.bitmaps[code].run_optimize();
-                                }
-                            }
+                            reoptimize(&mut ix.bitmaps, &touched, tail_key, config);
                             continue;
                         }
                         indexes.remove(&field.name);
@@ -571,10 +593,28 @@ impl BitmapDb {
         self.state().indexes.contains_key(col)
     }
 
+    /// The current index of `col`: the value of code 0 (0 for
+    /// categorical columns, whose codes are dictionary codes) and one
+    /// bitmap of row ids per code. The bitmaps are clones, which share
+    /// their containers with the engine's snapshot — so two calls around
+    /// an append can be compared for structural sharing as well as for
+    /// content.
+    pub fn index_bitmaps(&self, col: &str) -> Option<(i64, Vec<RoaringBitmap>)> {
+        let state = self.state();
+        let ix = state.indexes.get(col)?;
+        Some((ix.int_min, ix.bitmaps.clone()))
+    }
+
     /// Swap in a mutated table built by `mutate` and refresh the indexes
     /// incrementally; returns the appended row count. The table clone and
     /// index refresh run outside the reader-visible lock — queries keep
     /// scanning the old snapshot throughout.
+    ///
+    /// Cost is O(delta + chunks + containers): the table clone copies
+    /// sealed-chunk pointers plus each column's open tail, the index
+    /// clone copies container pointers, and the refresh writes (and
+    /// copies) only the last container of each bitmap the batch touches.
+    /// The old snapshot keeps every chunk and container it had.
     fn mutate_table(
         &self,
         mutate: impl FnOnce(&mut Table) -> Result<usize, StorageError>,

@@ -32,12 +32,29 @@
 //! the cheaper of RLE/packed *and* shrinks chunks to 64 rows so even
 //! tiny proptest tables exercise the encoded paths. Invalid values panic
 //! loudly rather than silently testing the default, mirroring
-//! `ZV_SCHED_*`. Floats are always stored plain: measures are consumed
-//! bit-for-bit by the aggregation kernels and gain little from integer
-//! encodings.
+//! `ZV_SCHED_*`.
+//!
+//! Float measures live in the same chunked store ([`FloatColumn`]) but
+//! always seal plain: measures are consumed bit-for-bit by the
+//! aggregation kernels and gain little from integer encodings. Every
+//! column kind therefore shares one representation and one segment walk.
+//!
+//! # Sealed chunks are immutable and shared
+//!
+//! A sealed chunk is never written again: appends only push onto the
+//! tail, and a full tail seals into a *new* chunk. Sealed chunks sit
+//! behind `Arc`, so cloning a [`Chunked`] store — which is how both
+//! engines build the next table snapshot on every append — copies one
+//! pointer per sealed chunk, the per-chunk stats, and the (at most one
+//! chunk long) tail, never the sealed payloads. Old and new snapshots
+//! share every chunk sealed before the append; a pinned snapshot keeps
+//! reading exactly its own chunks because nothing mutates them. The
+//! same holds for a categorical column's dictionary, which is copied
+//! only when a batch interns a value the snapshot has not seen.
 
 use crate::value::{DataType, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Rows per sealed chunk under the default (`Auto`/`Off`) policy. A
 /// power of two so row→chunk mapping is a shift; equal to the scan
@@ -119,15 +136,37 @@ impl EncodePolicy {
     }
 }
 
-/// Values storable in a [`Chunked`] store: fixed-width integers with a
-/// frame-of-reference delta representation.
-pub trait Coded: Copy + Ord + std::fmt::Debug + Send + Sync + 'static {
+/// Values storable in a [`Chunked`] store: fixed-width values with a
+/// frame-of-reference delta representation and a per-type seal rule.
+pub trait Coded: Copy + PartialOrd + std::fmt::Debug + Send + Sync + 'static {
     /// Bytes per value in the plain layout.
     const WIDTH_BYTES: usize;
     /// `self − min` as an unsigned delta (callers guarantee `min ≤ self`).
     fn delta(self, min: Self) -> u64;
     /// Inverse of [`Coded::delta`].
     fn from_delta(min: Self, d: u64) -> Self;
+    /// Seal one full chunk: its encoding under `mode` and its `(min,
+    /// max)` stat. Takes the values by value so a plain chunk keeps the
+    /// buffer instead of copying it.
+    fn seal(vals: Vec<Self>, mode: EncodingMode) -> (EncChunk<Self>, (Self, Self));
+    /// The smaller of two values (stat folding).
+    #[inline(always)]
+    fn lesser(a: Self, b: Self) -> Self {
+        if b < a {
+            b
+        } else {
+            a
+        }
+    }
+    /// The larger of two values (stat folding).
+    #[inline(always)]
+    fn greater(a: Self, b: Self) -> Self {
+        if b > a {
+            b
+        } else {
+            a
+        }
+    }
 }
 
 impl Coded for i64 {
@@ -140,6 +179,9 @@ impl Coded for i64 {
     fn from_delta(min: Self, d: u64) -> Self {
         min.wrapping_add(d as i64)
     }
+    fn seal(vals: Vec<Self>, mode: EncodingMode) -> (EncChunk<Self>, (Self, Self)) {
+        seal_encoded(vals, mode)
+    }
 }
 
 impl Coded for u32 {
@@ -151,6 +193,41 @@ impl Coded for u32 {
     #[inline(always)]
     fn from_delta(min: Self, d: u64) -> Self {
         min + d as u32
+    }
+    fn seal(vals: Vec<Self>, mode: EncodingMode) -> (EncChunk<Self>, (Self, Self)) {
+        seal_encoded(vals, mode)
+    }
+}
+
+/// Float measures seal plain under every mode. The delta is taken over
+/// bit patterns so the trait stays total, but no float chunk is ever
+/// packed. Stats fold with `f64::min`/`f64::max`, which skip NaN — the
+/// same semantics the binned-axis bounds always had.
+impl Coded for f64 {
+    const WIDTH_BYTES: usize = 8;
+    #[inline(always)]
+    fn delta(self, min: Self) -> u64 {
+        self.to_bits().wrapping_sub(min.to_bits())
+    }
+    #[inline(always)]
+    fn from_delta(min: Self, d: u64) -> Self {
+        f64::from_bits(min.to_bits().wrapping_add(d))
+    }
+    fn seal(vals: Vec<Self>, _mode: EncodingMode) -> (EncChunk<Self>, (Self, Self)) {
+        let (lo, hi) = vals
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                (lo.min(v), hi.max(v))
+            });
+        (EncChunk::Plain(vals), (lo, hi))
+    }
+    #[inline(always)]
+    fn lesser(a: Self, b: Self) -> Self {
+        a.min(b)
+    }
+    #[inline(always)]
+    fn greater(a: Self, b: Self) -> Self {
+        a.max(b)
     }
 }
 
@@ -241,12 +318,16 @@ pub fn packed_delta(words: &[u64], width: u32, i: usize) -> u64 {
 /// A chunked, per-chunk-encoded store of fixed-width values: sealed
 /// chunks (encoded at seal time by byte cost) plus a plain mutable
 /// tail. Append-only — the `Table` mutation model never truncates.
+///
+/// Sealed chunks are immutable and held behind `Arc` (see the module
+/// docs), so `clone` is O(chunks + tail) and shares every sealed
+/// payload with the original.
 #[derive(Clone, Debug)]
 pub struct Chunked<T: Coded> {
     /// log2 of rows per sealed chunk.
     shift: u32,
     mode: EncodingMode,
-    chunks: Vec<EncChunk<T>>,
+    chunks: Vec<Arc<EncChunk<T>>>,
     /// `(min, max)` per sealed chunk, parallel to `chunks`.
     stats: Vec<(T, T)>,
     tail: Vec<T>,
@@ -254,10 +335,12 @@ pub struct Chunked<T: Coded> {
 
 pub type IntColumn = Chunked<i64>;
 pub type CodeColumn = Chunked<u32>;
+/// Float measures: the same chunked store, sealed plain-only.
+pub type FloatColumn = Chunked<f64>;
 
 /// Borrowed view of a [`Chunked`] store's serialized parts: `(shift,
 /// sealed chunks, per-chunk stats, plain tail)` — see [`Chunked::parts`].
-pub type ChunkedParts<'a, T> = (u32, &'a [EncChunk<T>], &'a [(T, T)], &'a [T]);
+pub type ChunkedParts<'a, T> = (u32, &'a [Arc<EncChunk<T>>], &'a [(T, T)], &'a [T]);
 
 impl<T: Coded> Chunked<T> {
     pub fn new(policy: EncodePolicy) -> Self {
@@ -276,7 +359,7 @@ impl<T: Coded> Chunked<T> {
 
     pub fn from_vec(vals: Vec<T>, policy: EncodePolicy) -> Self {
         let mut c = Self::new(policy);
-        c.extend(vals);
+        c.extend_from_slice(&vals);
         c
     }
 
@@ -294,7 +377,7 @@ impl<T: Coded> Chunked<T> {
         Chunked {
             shift,
             mode,
-            chunks,
+            chunks: chunks.into_iter().map(Arc::new).collect(),
             stats,
             tail,
         }
@@ -304,6 +387,23 @@ impl<T: Coded> Chunked<T> {
     /// plain tail)` — what `persist` writes verbatim.
     pub fn parts(&self) -> ChunkedParts<'_, T> {
         (self.shift, &self.chunks, &self.stats, &self.tail)
+    }
+
+    /// How many leading sealed chunks `self` and `other` share by
+    /// pointer (not merely by value). A snapshot cloned from another
+    /// and then appended to shares *every* chunk the original had
+    /// sealed — the structural-sharing guarantee tests assert.
+    pub fn shared_sealed_prefix(&self, other: &Chunked<T>) -> usize {
+        self.chunks
+            .iter()
+            .zip(&other.chunks)
+            .take_while(|(a, b)| Arc::ptr_eq(a, b))
+            .count()
+    }
+
+    /// Number of sealed chunks.
+    pub fn sealed_chunks(&self) -> usize {
+        self.chunks.len()
     }
 
     #[inline]
@@ -328,8 +428,10 @@ impl<T: Coded> Chunked<T> {
 
     pub fn push(&mut self, v: T) {
         self.tail.push(v);
-        if self.tail.len() == self.chunk_rows() {
-            self.seal_tail();
+        let n = self.chunk_rows();
+        if self.tail.len() == n {
+            let tail = std::mem::replace(&mut self.tail, Vec::with_capacity(n));
+            self.seal(tail);
         }
     }
 
@@ -339,43 +441,43 @@ impl<T: Coded> Chunked<T> {
         }
     }
 
+    /// Append a slice: top up the tail, then seal whole chunks straight
+    /// from the slice (no per-value tail round trip).
+    pub(crate) fn extend_from_slice(&mut self, mut vals: &[T]) {
+        let n = self.chunk_rows();
+        if !self.tail.is_empty() {
+            let take = vals.len().min(n - self.tail.len());
+            for &v in &vals[..take] {
+                self.push(v);
+            }
+            vals = &vals[take..];
+        }
+        while vals.len() >= n {
+            self.seal(vals[..n].to_vec());
+            vals = &vals[n..];
+        }
+        self.tail.extend_from_slice(vals);
+    }
+
     /// Append every value of `other`. When both stores share a shift
-    /// and this tail is empty, `other`'s sealed chunks are copied
-    /// verbatim (no re-encode) — the common bulk-append case.
+    /// and this tail is empty, `other`'s sealed chunks are shared by
+    /// pointer (no copy, no re-encode) — the common bulk-append case.
     pub fn append_from(&mut self, other: &Chunked<T>) {
         if self.tail.is_empty() && self.shift == other.shift {
             self.chunks.extend(other.chunks.iter().cloned());
             self.stats.extend(other.stats.iter().copied());
-            self.tail.extend_from_slice(&other.tail);
-            if self.tail.len() == self.chunk_rows() {
-                self.seal_tail();
-            }
+            self.extend_from_slice(&other.tail);
             return;
         }
         other.for_each_range(0, other.len(), |_, v| self.push(v));
     }
 
-    fn seal_tail(&mut self) {
-        debug_assert_eq!(self.tail.len(), self.chunk_rows());
-        let vals = &self.tail;
-        let mut min = vals[0];
-        let mut max = vals[0];
-        let mut runs = 1usize;
-        for w in vals.windows(2) {
-            if w[1] < min {
-                min = w[1];
-            }
-            if w[1] > max {
-                max = w[1];
-            }
-            if w[1] != w[0] {
-                runs += 1;
-            }
-        }
-        let chunk = encode_chunk(vals, min, max, runs, self.mode);
-        self.chunks.push(chunk);
-        self.stats.push((min, max));
-        self.tail.clear();
+    /// Seal one full chunk's values as a new immutable chunk.
+    fn seal(&mut self, vals: Vec<T>) {
+        debug_assert_eq!(vals.len(), self.chunk_rows());
+        let (chunk, stat) = T::seal(vals, self.mode);
+        self.chunks.push(Arc::new(chunk));
+        self.stats.push(stat);
     }
 
     /// Random access. Sealed packed chunks pay a two-word bit extract,
@@ -387,7 +489,7 @@ impl<T: Coded> Chunked<T> {
             return self.tail[row - self.sealed_rows()];
         }
         let off = row & (self.chunk_rows() - 1);
-        match &self.chunks[chunk] {
+        match &*self.chunks[chunk] {
             EncChunk::Plain(v) => v[off],
             EncChunk::Packed { min, width, words } => {
                 if *width == 0 {
@@ -415,7 +517,7 @@ impl<T: Coded> Chunked<T> {
                 data: SegRef::Plain(&self.tail),
             };
         }
-        let data = match &self.chunks[chunk] {
+        let data = match &*self.chunks[chunk] {
             EncChunk::Plain(v) => SegRef::Plain(v),
             EncChunk::Packed { min, width, words } => SegRef::Packed {
                 min: *min,
@@ -494,7 +596,7 @@ impl<T: Coded> Chunked<T> {
         let mut fold = |lo: T, hi: T| {
             acc = Some(match acc {
                 None => (lo, hi),
-                Some((a, b)) => (a.min(lo), b.max(hi)),
+                Some((a, b)) => (T::lesser(a, lo), T::greater(b, hi)),
             });
         };
         let mut row = start;
@@ -508,7 +610,7 @@ impl<T: Coded> Chunked<T> {
                     self.for_each_range(row, stop, |_, v| {
                         lo = Some(match lo {
                             None => (v, v),
-                            Some((a, b)) => (a.min(v), b.max(v)),
+                            Some((a, b)) => (T::lesser(a, v), T::greater(b, v)),
                         });
                     });
                     if let Some((a, b)) = lo {
@@ -549,7 +651,7 @@ impl<T: Coded> Chunked<T> {
         let chunk_bytes: usize = self
             .chunks
             .iter()
-            .map(|c| match c {
+            .map(|c| match &**c {
                 EncChunk::Plain(v) => v.len() * T::WIDTH_BYTES,
                 EncChunk::Packed { words, .. } => words.len() * 8,
                 EncChunk::Rle(runs) => runs.len() * (T::WIDTH_BYTES + 2),
@@ -564,7 +666,7 @@ impl<T: Coded> Chunked<T> {
             ..Default::default()
         };
         for c in &self.chunks {
-            match c {
+            match &**c {
                 EncChunk::Plain(_) => counts.plain += 1,
                 EncChunk::Packed { .. } => counts.packed += 1,
                 EncChunk::Rle(_) => counts.rle += 1,
@@ -605,17 +707,33 @@ impl<T: Coded> From<Vec<T>> for Chunked<T> {
     }
 }
 
+/// The integer seal rule: one pass gathers `(min, max)` and the run
+/// count, then [`encode_chunk`] picks the encoding.
+fn seal_encoded<T: Coded + Ord>(vals: Vec<T>, mode: EncodingMode) -> (EncChunk<T>, (T, T)) {
+    let mut min = vals[0];
+    let mut max = vals[0];
+    let mut runs = 1usize;
+    for w in vals.windows(2) {
+        min = min.min(w[1]);
+        max = max.max(w[1]);
+        if w[1] != w[0] {
+            runs += 1;
+        }
+    }
+    (encode_chunk(vals, min, max, runs, mode), (min, max))
+}
+
 /// Seal one full chunk under the policy's selection rule (see the
 /// module docs for the cost table).
 fn encode_chunk<T: Coded>(
-    vals: &[T],
+    vals: Vec<T>,
     min: T,
     max: T,
     runs: usize,
     mode: EncodingMode,
 ) -> EncChunk<T> {
     if mode == EncodingMode::Off {
-        return EncChunk::Plain(vals.to_vec());
+        return EncChunk::Plain(vals);
     }
     let range = max.delta(min);
     let width = 64 - range.leading_zeros();
@@ -624,7 +742,7 @@ fn encode_chunk<T: Coded>(
     let cost_plain = vals.len() * T::WIDTH_BYTES;
     let best_encoded = cost_rle.min(cost_packed);
     if mode == EncodingMode::Auto && best_encoded >= cost_plain {
-        return EncChunk::Plain(vals.to_vec());
+        return EncChunk::Plain(vals);
     }
     if cost_rle < cost_packed {
         let mut runs_out: Vec<(T, u16)> = Vec::with_capacity(runs);
@@ -644,7 +762,7 @@ fn encode_chunk<T: Coded>(
     } else {
         let mut words = vec![0u64; (vals.len() * width as usize).div_ceil(64)];
         let mut bit = 0usize;
-        for &v in vals {
+        for &v in &vals {
             let d = v.delta(min);
             let w = bit >> 6;
             let off = (bit & 63) as u32;
@@ -661,11 +779,15 @@ fn encode_chunk<T: Coded>(
 /// A dictionary-encoded string column. Codes live in a chunked,
 /// per-chunk-encoded store ([`CodeColumn`]), bit-packed to the observed
 /// dictionary width (or run-length encoded when values cluster).
+///
+/// The dictionary sits behind `Arc` like the sealed code chunks: a
+/// clone shares it, and [`CatColumn::intern`] copies it (`make_mut`)
+/// only when a value the clone has not seen arrives.
 #[derive(Clone, Debug)]
 pub struct CatColumn {
     /// Distinct values, in first-seen order; code `i` means `dict[i]`.
-    dict: Vec<String>,
-    lookup: HashMap<String, u32>,
+    dict: Arc<Vec<String>>,
+    lookup: Arc<HashMap<String, u32>>,
     codes: CodeColumn,
 }
 
@@ -682,8 +804,8 @@ impl CatColumn {
 
     pub fn with_policy(policy: EncodePolicy) -> Self {
         CatColumn {
-            dict: Vec::new(),
-            lookup: HashMap::new(),
+            dict: Arc::default(),
+            lookup: Arc::default(),
             codes: CodeColumn::new(policy),
         }
     }
@@ -699,8 +821,8 @@ impl CatColumn {
             return c;
         }
         let c = self.dict.len() as u32;
-        self.dict.push(v.to_string());
-        self.lookup.insert(v.to_string(), c);
+        Arc::make_mut(&mut self.dict).push(v.to_string());
+        Arc::make_mut(&mut self.lookup).insert(v.to_string(), c);
         c
     }
 
@@ -741,8 +863,8 @@ impl CatColumn {
             .map(|(i, s)| (s.clone(), i as u32))
             .collect();
         CatColumn {
-            dict,
-            lookup,
+            dict: Arc::new(dict),
+            lookup: Arc::new(lookup),
             codes,
         }
     }
@@ -769,7 +891,7 @@ impl CatColumn {
 #[derive(Clone, Debug)]
 pub enum Column {
     Int(IntColumn),
-    Float(Vec<f64>),
+    Float(FloatColumn),
     Cat(CatColumn),
 }
 
@@ -783,7 +905,7 @@ impl Column {
     pub fn with_policy(dtype: DataType, policy: EncodePolicy) -> Self {
         match dtype {
             DataType::Int => Column::Int(IntColumn::new(policy)),
-            DataType::Float => Column::Float(Vec::new()),
+            DataType::Float => Column::Float(FloatColumn::new(policy)),
             DataType::Cat => Column::Cat(CatColumn::with_policy(policy)),
         }
     }
@@ -820,14 +942,14 @@ impl Column {
     }
 
     /// Append every row of `other` onto this column. Numeric columns
-    /// extend value-at-a-time (sealed chunks copy verbatim when the
-    /// layouts line up); categorical columns remap the other
+    /// extend value-at-a-time (sealed chunks are shared by pointer when
+    /// the layouts line up); categorical columns remap the other
     /// dictionary's codes through a translation table built once per
-    /// call (an identity remap also copies chunks verbatim).
+    /// call (an identity remap also shares chunks).
     pub fn append(&mut self, other: &Column) -> Result<(), String> {
         match (self, other) {
             (Column::Int(a), Column::Int(b)) => a.append_from(b),
-            (Column::Float(a), Column::Float(b)) => a.extend_from_slice(b),
+            (Column::Float(a), Column::Float(b)) => a.append_from(b),
             (Column::Cat(a), Column::Cat(b)) => {
                 let remap: Vec<u32> = b.dict().iter().map(|s| a.intern(s)).collect();
                 if remap.iter().enumerate().all(|(i, &c)| i as u32 == c) {
@@ -869,7 +991,7 @@ impl Column {
     pub fn get(&self, row: usize) -> Value {
         match self {
             Column::Int(v) => Value::Int(v.get(row)),
-            Column::Float(v) => Value::Float(v[row]),
+            Column::Float(v) => Value::Float(v.get(row)),
             Column::Cat(c) => Value::Str(c.decode(c.code_at(row)).to_string()),
         }
     }
@@ -879,7 +1001,7 @@ impl Column {
     pub fn get_f64(&self, row: usize) -> Option<f64> {
         match self {
             Column::Int(v) => Some(v.get(row) as f64),
-            Column::Float(v) => Some(v[row]),
+            Column::Float(v) => Some(v.get(row)),
             Column::Cat(_) => None,
         }
     }
@@ -898,7 +1020,7 @@ impl Column {
         }
     }
 
-    pub fn as_float(&self) -> Option<&[f64]> {
+    pub fn as_float(&self) -> Option<&FloatColumn> {
         match self {
             Column::Float(v) => Some(v),
             _ => None,
@@ -917,7 +1039,7 @@ impl Column {
                 d.into_iter().map(Value::Int).collect()
             }
             Column::Float(v) => {
-                let mut d: Vec<f64> = v.clone();
+                let mut d: Vec<f64> = v.to_vec();
                 d.sort_by(|a, b| a.total_cmp(b));
                 d.dedup_by(|a, b| a.to_bits() == b.to_bits());
                 d.into_iter().map(Value::Float).collect()
@@ -937,7 +1059,7 @@ impl Column {
     pub fn heap_bytes(&self) -> usize {
         match self {
             Column::Int(v) => v.heap_bytes(),
-            Column::Float(v) => v.len() * 8,
+            Column::Float(v) => v.heap_bytes(),
             Column::Cat(c) => {
                 c.codes().heap_bytes() + c.dict().iter().map(|s| s.len() + 24).sum::<usize>()
             }
@@ -1144,6 +1266,81 @@ mod tests {
         c.append_from(&b);
         assert_eq!(c.len(), 100 + b_vals.len());
         assert_eq!(c.get(100), b_vals[0]);
+    }
+
+    #[test]
+    fn floats_seal_plain_under_every_policy() {
+        let vals: Vec<f64> = (0..10_000).map(|i| (i % 7) as f64 * 0.5).collect();
+        for policy in [
+            EncodePolicy::auto(),
+            EncodePolicy::off(),
+            EncodePolicy::force(),
+        ] {
+            let c = FloatColumn::from_vec(vals.clone(), policy);
+            let counts = c.encoding_counts();
+            assert_eq!((counts.packed, counts.rle), (0, 0), "{policy:?}");
+            assert_eq!(counts.plain, vals.len() >> policy.shift);
+            assert_eq!(c.to_vec(), vals);
+            assert_eq!(c.minmax(0, vals.len()), Some((0.0, 3.0)));
+            assert_eq!(c.minmax(1, 3), Some((0.5, 1.0)));
+        }
+    }
+
+    #[test]
+    fn float_stats_skip_nan_like_f64_min() {
+        let mut vals = vec![f64::NAN; ENC_CHUNK_ROWS];
+        vals[7] = -2.0;
+        vals.extend([f64::NAN, 5.0, f64::NAN]);
+        let c = FloatColumn::from_vec(vals.clone(), EncodePolicy::auto());
+        assert_eq!(c.minmax(0, vals.len()), Some((-2.0, 5.0)));
+    }
+
+    #[test]
+    fn clones_share_sealed_chunks_and_dictionaries() {
+        let vals = mixed_vals(3 * ENC_CHUNK_ROWS + 100);
+        let a = IntColumn::from_vec(vals.clone(), EncodePolicy::auto());
+        let mut b = a.clone();
+        assert_eq!(b.shared_sealed_prefix(&a), 3, "a clone copies pointers");
+        b.extend(vals.iter().copied().take(ENC_CHUNK_ROWS));
+        assert_eq!(b.sealed_chunks(), 4, "the append sealed a new chunk");
+        assert_eq!(
+            b.shared_sealed_prefix(&a),
+            3,
+            "every chunk sealed before the append is still shared"
+        );
+        assert_eq!(a.to_vec(), vals, "the original is untouched");
+
+        let mut cat = CatColumn::new();
+        for v in ["US", "UK", "US"] {
+            cat.push(v);
+        }
+        let mut next = cat.clone();
+        next.push("UK");
+        assert!(
+            std::ptr::eq(cat.dict(), next.dict()),
+            "known values keep the dictionary shared"
+        );
+        next.push("FR");
+        assert!(
+            !std::ptr::eq(cat.dict(), next.dict()),
+            "a new value copies it"
+        );
+        assert_eq!(cat.cardinality(), 2, "the original dictionary is unchanged");
+        assert_eq!(cat.code_of("FR"), None);
+        assert_eq!(next.code_of("FR"), Some(2));
+    }
+
+    #[test]
+    fn extend_from_slice_matches_pushes() {
+        let vals = mixed_vals(3 * ENC_CHUNK_ROWS + 17);
+        for policy in [EncodePolicy::auto(), EncodePolicy::force()] {
+            let mut pushed = IntColumn::new(policy);
+            pushed.extend(vals.iter().copied());
+            let mut sliced = IntColumn::new(policy);
+            sliced.extend_from_slice(&vals[..5]);
+            sliced.extend_from_slice(&vals[5..]);
+            assert_eq!(pushed.parts(), sliced.parts(), "{policy:?}");
+        }
     }
 
     #[test]

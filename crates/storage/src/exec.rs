@@ -166,7 +166,9 @@
 //! the equivalence suites under `serial`, `static`, and `morsel` so a
 //! scheduling bug cannot hide behind the default configuration.
 
-use crate::column::{packed_delta, Chunked, CodeColumn, Coded, Column, IntColumn, SegRef};
+use crate::column::{
+    packed_delta, Chunked, CodeColumn, Coded, Column, FloatColumn, IntColumn, SegRef,
+};
 use crate::lifecycle::QueryCtx;
 use crate::parallel;
 use crate::predicate::{Atom, CmpOp, Predicate};
@@ -210,7 +212,7 @@ pub enum CAtom<'a> {
         value: f64,
     },
     NumCmpF {
-        vals: &'a [f64],
+        vals: &'a FloatColumn,
         op: CmpOp,
         value: f64,
     },
@@ -220,7 +222,7 @@ pub enum CAtom<'a> {
         hi: f64,
     },
     BetweenF {
-        vals: &'a [f64],
+        vals: &'a FloatColumn,
         lo: f64,
         hi: f64,
     },
@@ -235,12 +237,15 @@ impl CAtom<'_> {
             CAtom::CatNeqCode { codes, code } => codes.get(row) != *code,
             CAtom::CatCodeSet { codes, member } => member[codes.get(row) as usize],
             CAtom::NumCmpI { vals, op, value } => op.eval_f64(vals.get(row) as f64, *value),
-            CAtom::NumCmpF { vals, op, value } => op.eval_f64(vals[row], *value),
+            CAtom::NumCmpF { vals, op, value } => op.eval_f64(vals.get(row), *value),
             CAtom::BetweenI { vals, lo, hi } => {
                 let v = vals.get(row) as f64;
                 v >= *lo && v <= *hi
             }
-            CAtom::BetweenF { vals, lo, hi } => vals[row] >= *lo && vals[row] <= *hi,
+            CAtom::BetweenF { vals, lo, hi } => {
+                let v = vals.get(row);
+                v >= *lo && v <= *hi
+            }
         }
     }
 
@@ -354,11 +359,19 @@ impl CAtom<'_> {
                     |v| op.eval_f64(v as f64, value),
                 );
             }
+            // Float chunk stats skip NaN, which every comparison
+            // rejects, so they cannot decide a whole chunk: evaluate
+            // each segment's values.
             CAtom::NumCmpF { vals, op, value } => {
                 let (op, value) = (*op, *value);
-                and_lanes(mask, 0, end - start, |i| {
-                    op.eval_f64(vals[start + i], value)
-                });
+                and_mask_col(
+                    vals,
+                    start,
+                    end,
+                    mask,
+                    |_, _| None,
+                    |v| op.eval_f64(v, value),
+                );
             }
             CAtom::BetweenI { vals, lo, hi } => {
                 let (plo, phi) = (*lo, *hi);
@@ -384,10 +397,14 @@ impl CAtom<'_> {
             }
             CAtom::BetweenF { vals, lo, hi } => {
                 let (plo, phi) = (*lo, *hi);
-                and_lanes(mask, 0, end - start, |i| {
-                    let v = vals[start + i];
-                    v >= plo && v <= phi
-                });
+                and_mask_col(
+                    vals,
+                    start,
+                    end,
+                    mask,
+                    |_, _| None,
+                    |v| v >= plo && v <= phi,
+                );
             }
         }
     }
@@ -1042,7 +1059,7 @@ pub enum DimEncoder<'a> {
         card: usize,
     },
     BinnedF {
-        vals: &'a [f64],
+        vals: &'a FloatColumn,
         width: f64,
         min_bin: i64,
         card: usize,
@@ -1071,12 +1088,59 @@ fn for_spans<'a, T: Coded>(
     }
 }
 
-/// Gather `code_of(value) * stride` into `out` for each id in `rows`,
-/// straight from the encoded segments: plain slices index directly,
-/// bit-packed chunks unpack lanes from the packed words (constant
-/// chunks hoist one code for the whole span), and RLE runs compute
-/// `code_of` once per run — the run cursor only ever moves forward
-/// because ids are ascending.
+/// Fold `conv(value)` into `out[k]` (via `apply`) for each id
+/// `rows[k]`, straight from the encoded segments: plain slices index
+/// directly, bit-packed chunks unpack lanes from the packed words
+/// (constant chunks hoist one value for the whole span), and RLE runs
+/// compute `conv` once per run — the run cursor only ever moves forward
+/// because ids are ascending. The dimension encoders accumulate codes
+/// through it and the aggregation kernel gathers measures through it.
+#[inline]
+fn gather_into<T: Coded, O: Copy>(
+    col: &Chunked<T>,
+    rows: &[u32],
+    out: &mut [O],
+    mut conv: impl FnMut(T) -> O,
+    apply: impl Fn(&mut O, O),
+) {
+    for_spans(col, rows, |i, j, seg| match seg.data {
+        SegRef::Plain(v) => {
+            for k in i..j {
+                apply(&mut out[k], conv(v[rows[k] as usize - seg.base]));
+            }
+        }
+        SegRef::Packed { min, width, words } => {
+            if width == 0 {
+                let x = conv(min);
+                for o in &mut out[i..j] {
+                    apply(o, x);
+                }
+            } else {
+                for k in i..j {
+                    let d = packed_delta(words, width, rows[k] as usize - seg.base);
+                    apply(&mut out[k], conv(T::from_delta(min, d)));
+                }
+            }
+        }
+        SegRef::Rle(runs) => {
+            let mut ri =
+                runs.partition_point(|&(_, e)| (e as usize) <= rows[i] as usize - seg.base);
+            let mut cached = conv(runs[ri].0);
+            for k in i..j {
+                let off = rows[k] as usize - seg.base;
+                if (runs[ri].1 as usize) <= off {
+                    while (runs[ri].1 as usize) <= off {
+                        ri += 1;
+                    }
+                    cached = conv(runs[ri].0);
+                }
+                apply(&mut out[k], cached);
+            }
+        }
+    });
+}
+
+/// Add `code_of(value) * stride` into `out` for each id in `rows`.
 #[inline]
 fn gather_acc<T: Coded>(
     col: &Chunked<T>,
@@ -1085,41 +1149,7 @@ fn gather_acc<T: Coded>(
     out: &mut [u64],
     mut code_of: impl FnMut(T) -> u64,
 ) {
-    for_spans(col, rows, |i, j, seg| match seg.data {
-        SegRef::Plain(v) => {
-            for k in i..j {
-                out[k] += code_of(v[rows[k] as usize - seg.base]) * stride;
-            }
-        }
-        SegRef::Packed { min, width, words } => {
-            if width == 0 {
-                let add = code_of(min) * stride;
-                for o in &mut out[i..j] {
-                    *o += add;
-                }
-            } else {
-                for k in i..j {
-                    let d = packed_delta(words, width, rows[k] as usize - seg.base);
-                    out[k] += code_of(T::from_delta(min, d)) * stride;
-                }
-            }
-        }
-        SegRef::Rle(runs) => {
-            let mut ri =
-                runs.partition_point(|&(_, e)| (e as usize) <= rows[i] as usize - seg.base);
-            let mut cached = code_of(runs[ri].0) * stride;
-            for k in i..j {
-                let off = rows[k] as usize - seg.base;
-                if (runs[ri].1 as usize) <= off {
-                    while (runs[ri].1 as usize) <= off {
-                        ri += 1;
-                    }
-                    cached = code_of(runs[ri].0) * stride;
-                }
-                out[k] += cached;
-            }
-        }
-    });
+    gather_into(col, rows, out, |v| code_of(v) * stride, |o, x| *o += x);
 }
 
 impl DimEncoder<'_> {
@@ -1143,7 +1173,7 @@ impl DimEncoder<'_> {
                 width,
                 min_bin,
                 ..
-            } => ((vals[row] / width).floor() as i64 - min_bin) as u64,
+            } => ((vals.get(row) / width).floor() as i64 - min_bin) as u64,
         }
     }
 
@@ -1188,10 +1218,10 @@ impl DimEncoder<'_> {
                 min_bin,
                 ..
             } => {
-                for (o, &r) in out.iter_mut().zip(rows) {
-                    let code = ((vals[r as usize] / width).floor() as i64 - min_bin) as u64;
-                    *o += code * stride;
-                }
+                let (width, min_bin) = (*width, *min_bin);
+                gather_acc(vals, rows, stride, out, |v| {
+                    ((v / width).floor() as i64 - min_bin) as u64
+                });
             }
         }
     }
@@ -1288,7 +1318,7 @@ fn build_dim_over<'a>(
                         card: 0,
                     });
                 }
-                let (lo, hi) = minmax_f(&v[s..e]);
+                let (lo, hi) = v.minmax(s, e).expect("nonempty range");
                 let min_bin = (lo / width).floor() as i64;
                 let max_bin = (hi / width).floor() as i64;
                 Ok(DimEncoder::BinnedF {
@@ -1342,16 +1372,6 @@ fn build_dim_over<'a>(
     }
 }
 
-fn minmax_f(v: &[f64]) -> (f64, f64) {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &x in v {
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    (lo, hi)
-}
-
 // ---------------------------------------------------------------------
 // Aggregation kernel
 // ---------------------------------------------------------------------
@@ -1360,19 +1380,44 @@ fn minmax_f(v: &[f64]) -> (f64, f64) {
 #[derive(Clone, Copy)]
 pub enum YCol<'a> {
     I(&'a IntColumn),
-    F(&'a [f64]),
+    F(&'a FloatColumn),
     /// COUNT(*) needs no column.
     Unit,
 }
 
-impl YCol<'_> {
-    #[inline]
-    fn get(&self, row: usize) -> f64 {
-        match self {
-            YCol::I(v) => v.get(row) as f64,
-            YCol::F(v) => v[row],
-            YCol::Unit => 1.0,
+/// One chunk's measure values, gathered measure by measure straight
+/// from the encoded segments ([`gather_into`]) before accumulation:
+/// measure `j` of the chunk's `i`-th row id is `vals[j * rows + i]`.
+/// Reusable across chunks, like the composite-code buffer.
+#[derive(Default)]
+struct Measures {
+    vals: Vec<f64>,
+    /// Measures per row.
+    count: usize,
+    /// Row ids in the chunk.
+    rows: usize,
+}
+
+impl Measures {
+    fn gather(&mut self, ys: &[YCol<'_>], rows: &[u32]) {
+        let n = rows.len();
+        self.count = ys.len();
+        self.rows = n;
+        self.vals.clear();
+        self.vals.resize(ys.len() * n, 0.0);
+        let set = |o: &mut f64, x: f64| *o = x;
+        for (y, out) in ys.iter().zip(self.vals.chunks_exact_mut(n.max(1))) {
+            match y {
+                YCol::I(v) => gather_into(v, rows, out, |x| x as f64, set),
+                YCol::F(v) => gather_into(v, rows, out, |x| x, set),
+                YCol::Unit => out.fill(1.0),
+            }
         }
+    }
+
+    #[inline(always)]
+    fn get(&self, j: usize, i: usize) -> f64 {
+        self.vals[j * self.rows + i]
     }
 }
 
@@ -1624,12 +1669,13 @@ impl Accumulators {
         slot
     }
 
+    /// Fold the `i`-th row of a gathered chunk into `slot`.
     #[inline]
-    fn update(&mut self, slot: usize, ys: &[YCol<'_>], row: usize) {
+    fn update(&mut self, slot: usize, ys: &Measures, i: usize) {
         self.counts[slot] += 1;
         let base = slot * self.n_ys;
-        for (j, y) in ys.iter().enumerate() {
-            let v = y.get(row);
+        for j in 0..ys.count {
+            let v = ys.get(j, i);
             self.sums[base + j] += v;
             if self.need_minmax {
                 if v < self.mins[base + j] {
@@ -1753,8 +1799,8 @@ fn build_plan<'a>(
     })
 }
 
-/// One worker's (or the serial scan's) accumulation state: a reusable
-/// code buffer plus strategy-specific slot storage.
+/// One worker's (or the serial scan's) accumulation state: reusable
+/// code and measure buffers plus strategy-specific slot storage.
 struct ChunkAccumulator<'p, 'a> {
     plan: &'p GroupPlan<'a>,
     strategy: GroupStrategy,
@@ -1762,17 +1808,20 @@ struct ChunkAccumulator<'p, 'a> {
     /// Hash strategy only: composite code → slot.
     slot_of: HashMap<u64, u32>,
     codes: Vec<u64>,
+    ys: Measures,
 }
 
-/// Encode one chunk's composite codes into `codes` (shared by the
-/// chunk-at-a-time and morsel accumulators).
+/// Encode one chunk's composite codes into `codes` and gather its
+/// measures into `ys` (shared by the chunk-at-a-time and morsel
+/// accumulators).
 #[inline]
-fn encode_chunk(plan: &GroupPlan<'_>, rows: &[u32], codes: &mut Vec<u64>) {
+fn encode_chunk(plan: &GroupPlan<'_>, rows: &[u32], codes: &mut Vec<u64>, ys: &mut Measures) {
     codes.clear();
     codes.resize(rows.len(), 0);
     for (d, s) in plan.dims.iter().zip(&plan.strides) {
         d.encode_acc(rows, *s, codes);
     }
+    ys.gather(&plan.ys, rows);
 }
 
 /// Hash-strategy accumulation of one encoded chunk (shared by the
@@ -1784,13 +1833,12 @@ fn hash_consume(
     acc: &mut Accumulators,
     slot_of: &mut HashMap<u64, u32>,
     codes: &[u64],
-    ys: &[YCol<'_>],
-    rows: &[u32],
+    ys: &Measures,
 ) {
-    slot_of.reserve(rows.len());
-    acc.reserve(rows.len());
-    for (i, &row) in rows.iter().enumerate() {
-        let slot = match slot_of.entry(codes[i]) {
+    slot_of.reserve(codes.len());
+    acc.reserve(codes.len());
+    for (i, &code) in codes.iter().enumerate() {
+        let slot = match slot_of.entry(code) {
             Entry::Occupied(e) => *e.get() as usize,
             Entry::Vacant(e) => {
                 let s = acc.grow_one();
@@ -1798,7 +1846,7 @@ fn hash_consume(
                 s
             }
         };
-        acc.update(slot, ys, row as usize);
+        acc.update(slot, ys, i);
     }
 }
 
@@ -1815,26 +1863,22 @@ impl<'p, 'a> ChunkAccumulator<'p, 'a> {
             acc,
             slot_of: HashMap::new(),
             codes: Vec::with_capacity(CHUNK_ROWS),
+            ys: Measures::default(),
         }
     }
 
     /// Accumulate one chunk of qualifying row ids.
     fn consume(&mut self, rows: &[u32]) {
-        encode_chunk(self.plan, rows, &mut self.codes);
+        encode_chunk(self.plan, rows, &mut self.codes, &mut self.ys);
         match self.strategy {
             GroupStrategy::Dense => {
-                for (i, &row) in rows.iter().enumerate() {
-                    self.acc
-                        .update(self.codes[i] as usize, &self.plan.ys, row as usize);
+                for (i, &code) in self.codes.iter().enumerate() {
+                    self.acc.update(code as usize, &self.ys, i);
                 }
             }
-            GroupStrategy::Hash => hash_consume(
-                &mut self.acc,
-                &mut self.slot_of,
-                &self.codes,
-                &self.plan.ys,
-                rows,
-            ),
+            GroupStrategy::Hash => {
+                hash_consume(&mut self.acc, &mut self.slot_of, &self.codes, &self.ys)
+            }
         }
     }
 
@@ -2249,6 +2293,7 @@ struct MorselAccumulator<'p, 'a> {
     /// morsel.
     touched: Vec<u64>,
     codes: Vec<u64>,
+    ys: Measures,
 }
 
 impl<'p, 'a> MorselAccumulator<'p, 'a> {
@@ -2265,31 +2310,28 @@ impl<'p, 'a> MorselAccumulator<'p, 'a> {
             slot_of: HashMap::new(),
             touched: Vec::new(),
             codes: Vec::with_capacity(CHUNK_ROWS),
+            ys: Measures::default(),
         }
     }
 
     /// Accumulate one chunk of qualifying row ids of the current morsel.
     fn consume(&mut self, rows: &[u32]) {
-        encode_chunk(self.plan, rows, &mut self.codes);
+        encode_chunk(self.plan, rows, &mut self.codes, &mut self.ys);
         match self.strategy {
             GroupStrategy::Dense => {
                 // Like the chunk accumulator's Dense arm, plus 0 → 1
                 // touch tracking so the morsel compacts in O(groups).
-                for (i, &row) in rows.iter().enumerate() {
-                    let code = self.codes[i] as usize;
+                for (i, &code) in self.codes.iter().enumerate() {
+                    let code = code as usize;
                     if self.acc.counts[code] == 0 {
                         self.touched.push(code as u64);
                     }
-                    self.acc.update(code, &self.plan.ys, row as usize);
+                    self.acc.update(code, &self.ys, i);
                 }
             }
-            GroupStrategy::Hash => hash_consume(
-                &mut self.acc,
-                &mut self.slot_of,
-                &self.codes,
-                &self.plan.ys,
-                rows,
-            ),
+            GroupStrategy::Hash => {
+                hash_consume(&mut self.acc, &mut self.slot_of, &self.codes, &self.ys)
+            }
         }
     }
 

@@ -59,7 +59,7 @@ pub use cache::{
 };
 pub use column::{
     CatColumn, ChunkEncoding, CodeColumn, Column, EncodePolicy, EncodingCounts, EncodingMode,
-    IntColumn,
+    FloatColumn, IntColumn,
 };
 pub use db::{Database, DynDatabase, EngineSnapshot};
 pub use exec::{GroupStrategy, MorselMetrics, ParallelConfig, SchedulingMode};
@@ -69,7 +69,7 @@ pub use lifecycle::{CancelReason, QueryCtx, QueryCtxStats};
 pub use persist::{PersistOptions, PersistStats, Persistence, RecoveryReport};
 pub use predicate::{Atom, CmpOp, Predicate};
 pub use query::{Agg, GroupSeries, ResultTable, SelectQuery, XSpec, YSpec};
-pub use roaring::RoaringBitmap;
+pub use roaring::{ContainerCounts, RoaringBitmap};
 pub use scan_db::{ScanDb, ScanDbConfig};
 pub use stats::{ExecStats, StatsSnapshot};
 pub use table::{Field, Schema, StorageError, Table, TableBuilder};

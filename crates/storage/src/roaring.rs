@@ -15,6 +15,21 @@
 //! containers are expanded to their Array/Bitmap equivalent first (a
 //! simplification relative to the C implementation that preserves
 //! semantics — run containers here are a storage optimization only).
+//!
+//! # Containers are shared between clones
+//!
+//! Each container sits behind `Arc`, so cloning a bitmap copies one
+//! pointer per container. A write goes through `Arc::make_mut`, which
+//! copies a container only while another clone still holds it. Bitmap
+//! indexes rely on this: an append builds the next index snapshot as a
+//! clone of the current one and writes only row ids past the old row
+//! count, so it copies at most the last container of each bitmap it
+//! touches (or creates a new one); every container below the old tail's
+//! key stays shared with the previous snapshot, which readers may still
+//! be scanning. [`RoaringBitmap::run_optimize_from`] re-compresses just
+//! those written containers and leaves the shared ones alone.
+
+use std::sync::Arc;
 
 const ARRAY_MAX: usize = 4096;
 const BITMAP_WORDS: usize = 1024;
@@ -33,6 +48,17 @@ enum Container {
 impl Container {
     fn new() -> Self {
         Container::Array(Vec::new())
+    }
+
+    /// The container of strictly ascending `lows`, in the kind
+    /// one-at-a-time inserts would leave: Array up to [`ARRAY_MAX`]
+    /// values, Bitmap beyond.
+    fn from_sorted(lows: &[u16]) -> Self {
+        if lows.len() > ARRAY_MAX {
+            Container::Bitmap(Self::array_to_bitmap(lows))
+        } else {
+            Container::Array(lows.to_vec())
+        }
     }
 
     fn cardinality(&self) -> usize {
@@ -291,11 +317,13 @@ impl Container {
         }
     }
 
-    /// Convert to a Run container if that representation is smaller.
-    fn run_optimize(&mut self) {
+    /// The Run form of this container, if that representation is
+    /// strictly smaller (`None` leaves it as is — which makes
+    /// re-optimizing an optimized container a no-op).
+    fn run_optimized(&self) -> Option<Container> {
         let vals = self.to_array_vec();
         if vals.is_empty() {
-            return;
+            return None;
         }
         let mut runs: Vec<(u16, u16)> = Vec::new();
         let mut start = vals[0];
@@ -318,8 +346,15 @@ impl Container {
             Container::Bitmap(_) => 8192,
             Container::Run(r) => r.len() * 4,
         };
-        if run_bytes < current_bytes {
-            *self = Container::Run(runs);
+        (run_bytes < current_bytes).then_some(Container::Run(runs))
+    }
+
+    /// [`Container::norm`] for a shared container: Array and Bitmap
+    /// containers are already normal, so they are shared, not copied.
+    fn norm_shared(c: &Arc<Container>) -> Arc<Container> {
+        match **c {
+            Container::Run(_) => Arc::new(c.norm()),
+            _ => Arc::clone(c),
         }
     }
 }
@@ -406,11 +441,34 @@ fn difference_sorted(a: &[u16], b: &[u16]) -> Vec<u16> {
     out
 }
 
+/// Per-kind container census of one bitmap (compression reporting and
+/// tests that must prove they exercised every kind).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ContainerCounts {
+    pub array: usize,
+    pub bitmap: usize,
+    pub run: usize,
+}
+
+impl ContainerCounts {
+    pub fn merge(&mut self, other: &ContainerCounts) {
+        self.array += other.array;
+        self.bitmap += other.bitmap;
+        self.run += other.run;
+    }
+}
+
 /// A compressed bitmap over `u32` row ids.
+///
+/// Equality is structural: two bitmaps are equal when they hold the same
+/// containers under the same keys, *including* each container's kind
+/// (Array, Bitmap or Run) — so an index refreshed in place can be
+/// checked container for container against a fresh build.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoaringBitmap {
-    /// `(high 16 bits, container)` pairs sorted by key.
-    containers: Vec<(u16, Container)>,
+    /// `(high 16 bits, container)` pairs sorted by key. Containers are
+    /// shared between clones (see the module docs).
+    containers: Vec<(u16, Arc<Container>)>,
 }
 
 impl RoaringBitmap {
@@ -452,13 +510,27 @@ impl RoaringBitmap {
         let lo = value as u16;
         match self.containers.last_mut() {
             Some((key, c)) if *key == hi => {
-                c.insert(lo);
+                Arc::make_mut(c).insert(lo);
             }
             _ => {
                 let mut c = Container::new();
                 c.insert(lo);
-                self.containers.push((hi, c));
+                self.containers.push((hi, Arc::new(c)));
             }
+        }
+    }
+
+    /// Append one whole container: `lows` are the strictly ascending
+    /// low 16 bits of values whose high 16 bits are `key`, and `key` is
+    /// above every key present. Leaves exactly what `push_ascending` of
+    /// each value would, minus the per-value container writes — the
+    /// bulk path for building indexes a 2^16-row window at a time.
+    pub(crate) fn push_container(&mut self, key: u16, lows: &[u16]) {
+        debug_assert!(self.containers.last().is_none_or(|&(k, _)| k < key));
+        debug_assert!(lows.windows(2).all(|w| w[0] < w[1]));
+        if !lows.is_empty() {
+            self.containers
+                .push((key, Arc::new(Container::from_sorted(lows))));
         }
     }
 
@@ -466,11 +538,14 @@ impl RoaringBitmap {
         let hi = (value >> 16) as u16;
         let lo = value as u16;
         match self.containers.binary_search_by_key(&hi, |&(k, _)| k) {
-            Ok(i) => self.containers[i].1.insert(lo),
+            Ok(i) => {
+                !self.containers[i].1.contains(lo)
+                    && Arc::make_mut(&mut self.containers[i].1).insert(lo)
+            }
             Err(i) => {
                 let mut c = Container::new();
                 c.insert(lo);
-                self.containers.insert(i, (hi, c));
+                self.containers.insert(i, (hi, Arc::new(c)));
                 true
             }
         }
@@ -481,7 +556,8 @@ impl RoaringBitmap {
         let lo = value as u16;
         match self.containers.binary_search_by_key(&hi, |&(k, _)| k) {
             Ok(i) => {
-                let removed = self.containers[i].1.remove(lo);
+                let removed = self.containers[i].1.contains(lo)
+                    && Arc::make_mut(&mut self.containers[i].1).remove(lo);
                 if removed && self.containers[i].1.cardinality() == 0 {
                     self.containers.remove(i);
                 }
@@ -537,7 +613,7 @@ impl RoaringBitmap {
                 std::cmp::Ordering::Equal => {
                     let c = ca.and(cb);
                     if c.cardinality() > 0 {
-                        out.containers.push((*ka, c));
+                        out.containers.push((*ka, Arc::new(c)));
                     }
                     i += 1;
                     j += 1;
@@ -556,25 +632,25 @@ impl RoaringBitmap {
             let (kb, cb) = &other.containers[j];
             match ka.cmp(kb) {
                 std::cmp::Ordering::Less => {
-                    out.containers.push((*ka, ca.norm()));
+                    out.containers.push((*ka, Container::norm_shared(ca)));
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    out.containers.push((*kb, cb.norm()));
+                    out.containers.push((*kb, Container::norm_shared(cb)));
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
-                    out.containers.push((*ka, ca.or(cb)));
+                    out.containers.push((*ka, Arc::new(ca.or(cb))));
                     i += 1;
                     j += 1;
                 }
             }
         }
         for (k, c) in &self.containers[i..] {
-            out.containers.push((*k, c.norm()));
+            out.containers.push((*k, Container::norm_shared(c)));
         }
         for (k, c) in &other.containers[j..] {
-            out.containers.push((*k, c.norm()));
+            out.containers.push((*k, Container::norm_shared(c)));
         }
         out
     }
@@ -590,10 +666,10 @@ impl RoaringBitmap {
             if j < other.containers.len() && other.containers[j].0 == *ka {
                 let c = ca.and_not(&other.containers[j].1);
                 if c.cardinality() > 0 {
-                    out.containers.push((*ka, c));
+                    out.containers.push((*ka, Arc::new(c)));
                 }
             } else {
-                out.containers.push((*ka, ca.norm()));
+                out.containers.push((*ka, Container::norm_shared(ca)));
             }
         }
         out
@@ -601,9 +677,51 @@ impl RoaringBitmap {
 
     /// Convert eligible containers to run-length encoding.
     pub fn run_optimize(&mut self) {
-        for (_, c) in &mut self.containers {
-            c.run_optimize();
+        self.run_optimize_from(0);
+    }
+
+    /// [`RoaringBitmap::run_optimize`] restricted to containers with key
+    /// ≥ `min_key`. Optimizing is idempotent, so after an ascending
+    /// append that wrote only keys ≥ `min_key` into an optimized bitmap
+    /// this yields exactly the containers a whole-bitmap pass would,
+    /// while shared containers below `min_key` are neither read nor
+    /// copied.
+    pub fn run_optimize_from(&mut self, min_key: u16) {
+        let start = self.containers.partition_point(|&(k, _)| k < min_key);
+        for (_, c) in &mut self.containers[start..] {
+            if let Some(run) = c.run_optimized() {
+                *c = Arc::new(run);
+            }
         }
+    }
+
+    /// Number of leading containers `self` shares with `other` by
+    /// pointer (same key, same allocation) — the structural-sharing
+    /// check for index snapshots.
+    pub fn shared_prefix(&self, other: &RoaringBitmap) -> usize {
+        self.containers
+            .iter()
+            .zip(&other.containers)
+            .take_while(|((ka, ca), (kb, cb))| ka == kb && Arc::ptr_eq(ca, cb))
+            .count()
+    }
+
+    /// Number of containers whose key is below `key`.
+    pub fn containers_below(&self, key: u16) -> usize {
+        self.containers.partition_point(|&(k, _)| k < key)
+    }
+
+    /// How many containers of each kind this bitmap holds.
+    pub fn container_counts(&self) -> ContainerCounts {
+        let mut counts = ContainerCounts::default();
+        for (_, c) in &self.containers {
+            match **c {
+                Container::Array(_) => counts.array += 1,
+                Container::Bitmap(_) => counts.bitmap += 1,
+                Container::Run(_) => counts.run += 1,
+            }
+        }
+        counts
     }
 
     /// Approximate heap footprint in bytes (for compression reporting).
@@ -611,7 +729,7 @@ impl RoaringBitmap {
         self.containers
             .iter()
             .map(|(_, c)| {
-                2 + match c {
+                2 + match &**c {
                     Container::Array(v) => v.len() * 2,
                     Container::Bitmap(_) => 8192,
                     Container::Run(r) => r.len() * 4,
@@ -640,7 +758,7 @@ impl RoaringBitmap {
     pub fn for_each<F: FnMut(u32)>(&self, mut f: F) {
         for (key, c) in &self.containers {
             let base = (*key as u32) << 16;
-            match c {
+            match &**c {
                 Container::Array(v) => {
                     for &lo in v {
                         f(base | lo as u32);
@@ -742,7 +860,7 @@ mod tests {
             bm.insert(v * 2); // non-contiguous so run-optimize can't kick in
         }
         assert_eq!(bm.len(), 5000);
-        assert!(matches!(bm.containers[0].1, Container::Bitmap(_)));
+        assert!(matches!(*bm.containers[0].1, Container::Bitmap(_)));
         for v in 0..5000u32 {
             assert!(bm.contains(v * 2));
             assert!(!bm.contains(v * 2 + 1));
@@ -755,11 +873,11 @@ mod tests {
         for v in 0..5000u32 {
             bm.insert(v);
         }
-        assert!(matches!(bm.containers[0].1, Container::Bitmap(_)));
+        assert!(matches!(*bm.containers[0].1, Container::Bitmap(_)));
         for v in 1000..5000u32 {
             bm.remove(v);
         }
-        assert!(matches!(bm.containers[0].1, Container::Array(_)));
+        assert!(matches!(*bm.containers[0].1, Container::Array(_)));
         assert_eq!(bm.len(), 1000);
     }
 
@@ -794,7 +912,7 @@ mod tests {
             after < before,
             "run encoding should shrink contiguous data: {after} !< {before}"
         );
-        assert!(matches!(bm.containers[0].1, Container::Run(_)));
+        assert!(matches!(*bm.containers[0].1, Container::Run(_)));
         assert_eq!(bm.len(), 2000);
         assert!(bm.contains(1000));
         assert!(bm.contains(2999));
@@ -813,7 +931,7 @@ mod tests {
     fn run_container_spanning_word_boundaries_devolves_to_bitmap() {
         let mut bm: RoaringBitmap = (0..6000u32).collect();
         bm.run_optimize();
-        assert!(matches!(bm.containers[0].1, Container::Run(_)));
+        assert!(matches!(*bm.containers[0].1, Container::Run(_)));
         // Force devolution through a set op; 6000 > ARRAY_MAX → bitmap path.
         let all: RoaringBitmap = (0..6000u32).collect();
         assert_eq!(bm.and(&all).to_vec(), (0..6000u32).collect::<Vec<_>>());
@@ -840,6 +958,48 @@ mod tests {
         let mut collected = Vec::new();
         bm.for_each(|v| collected.push(v));
         assert_eq!(collected, bm.to_vec());
+    }
+
+    #[test]
+    fn equality_distinguishes_container_kinds() {
+        let array: RoaringBitmap = (1000..3000u32).collect();
+        let mut run = array.clone();
+        run.run_optimize();
+        assert_eq!(array.to_vec(), run.to_vec(), "same set");
+        assert_ne!(array, run, "an Array and a Run container are not equal");
+        assert_eq!(run.container_counts().run, 1);
+        assert_eq!(array.container_counts().array, 1);
+    }
+
+    #[test]
+    fn clones_share_containers_until_written() {
+        let mut a: RoaringBitmap = (0..200_000u32).step_by(3).collect();
+        let b = a.clone();
+        assert_eq!(a.shared_prefix(&b), 4, "a clone shares every container");
+        a.push_ascending(200_001);
+        assert_eq!(
+            a.shared_prefix(&b),
+            3,
+            "writing the last container copies it and only it"
+        );
+        assert_eq!(b.max(), Some(199_998), "the original is unchanged");
+        a.push_ascending(300_000);
+        assert_eq!(a.shared_prefix(&b), 3);
+        assert_eq!(a.containers_below(3), 3);
+    }
+
+    #[test]
+    fn push_container_matches_one_at_a_time_pushes() {
+        for n in [1usize, 4096, 4097, 30_000] {
+            let lows: Vec<u16> = (0..n).map(|i| (i * 2) as u16).collect();
+            let mut bulk = RoaringBitmap::new();
+            bulk.push_container(5, &lows);
+            let mut one = RoaringBitmap::new();
+            for &lo in &lows {
+                one.push_ascending(5 << 16 | lo as u32);
+            }
+            assert_eq!(bulk, one, "{n} values");
+        }
     }
 
     fn model_check(values: &[u32], other: &[u32]) {
@@ -884,6 +1044,29 @@ mod tests {
                 }
             }
             proptest::prop_assert_eq!(bm.to_vec(), model.into_iter().collect::<Vec<_>>());
+        }
+
+        /// Optimizing only from the last written key on, after
+        /// ascending appends into an optimized bitmap, gives exactly the
+        /// containers (kinds included) of a whole-bitmap pass.
+        #[test]
+        fn prop_tail_optimize_matches_whole_optimize(
+            base in proptest::collection::vec(0u32..300_000, 0..3000),
+            step in 1u32..40,
+            extra in 0u32..20_000,
+        ) {
+            let mut tail: RoaringBitmap = base.iter().copied().collect();
+            tail.run_optimize();
+            let start = tail.max().map_or(0, |m| m + 1);
+            let key = (start >> 16) as u16;
+            let mut whole = tail.clone();
+            for v in (start..start + extra).step_by(step as usize) {
+                tail.push_ascending(v);
+                whole.push_ascending(v);
+            }
+            tail.run_optimize_from(key);
+            whole.run_optimize();
+            proptest::prop_assert_eq!(tail, whole);
         }
 
         #[test]

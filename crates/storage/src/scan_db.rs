@@ -201,9 +201,12 @@ impl ScanDb {
     }
 
     /// Swap in a mutated table built by `mutate`; returns its row delta.
-    /// The O(n) copy-on-write runs outside the reader-visible lock —
-    /// concurrent queries keep their old snapshot throughout — and
-    /// appends serialize on `append_lock`. On a durable engine `log`
+    /// The copy-on-write is O(delta + chunks): cloning the table copies
+    /// each column's sealed-chunk pointers and open tail, never a sealed
+    /// payload (see [`crate::column`]). It runs outside the
+    /// reader-visible lock — concurrent queries keep their old snapshot,
+    /// which shares every sealed chunk with the new one — and appends
+    /// serialize on `append_lock`. On a durable engine `log`
     /// WAL-logs and fsyncs the batch first (straight from the caller's
     /// borrowed rows/columns — no extra copy); a disk failure aborts
     /// the whole mutation, so nothing ever becomes visible that isn't
