@@ -12,6 +12,8 @@ use zv_storage::{BitmapDb, BitmapDbConfig, DynDatabase, Value};
 // result cache is disabled here (`BitmapDbConfig::uncached`): these
 // benches measure the §5.2 batching ladder and the task processors, not
 // warm cache hits (the cache has its own group in `benches/groupby.rs`).
+// The exception is `zql_planning_wide_z`, which keeps the cache on so
+// that storage is a hit and ZQL planning and process evaluation remain.
 
 const QUERY: &str = "name | x | y | z | constraints | viz | process\n\
     f1 | 'year' | 'sales' | v1 <- 'product'.P | location='US' | bar.(y=agg('sum')) | v2 <- argany(v1)[t > 0] T(f1)\n\
@@ -158,10 +160,44 @@ fn bench_parallel_routing(c: &mut Criterion) {
     group.finish();
 }
 
+/// ZQL planning over a wide Z set: 2,000 products, warm result cache,
+/// so each call is the §5.2 batch planning, cell materialization and the
+/// Process column over 2,000 slices (the shape of perfbench `tasks`).
+fn bench_wide_z_planning(c: &mut Criterion) {
+    use zql::{outlier_search, similarity_search, TaskSpec};
+    use zv_analytics::Series;
+    let db: DynDatabase = Arc::new(BitmapDb::with_config(
+        sales::generate(&SalesConfig {
+            rows: 200_000,
+            products: 2_000,
+            ..Default::default()
+        }),
+        BitmapDbConfig::default(),
+    ));
+    let engine = ZqlEngine::new(db);
+    let spec = TaskSpec::new("year", "sales", "product");
+    let sketch = Series::from_ys(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+
+    let mut group = c.benchmark_group("zql_planning_wide_z");
+    group.sample_size(10);
+    group.bench_function("similarity_2000", |bencher| {
+        bencher.iter(|| {
+            similarity_search(&engine, &spec, &sketch, 5)
+                .unwrap()
+                .visualizations
+        })
+    });
+    group.bench_function("outlier_2000", |bencher| {
+        bencher.iter(|| outlier_search(&engine, &spec, 4, 3).unwrap().visualizations)
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_opt_levels,
     bench_tasks,
-    bench_parallel_routing
+    bench_parallel_routing,
+    bench_wide_z_planning
 );
 criterion_main!(benches);

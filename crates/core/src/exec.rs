@@ -9,14 +9,16 @@
 use crate::ast::*;
 use crate::parser::{parse_query, ParseError};
 use crate::primitives::FunctionRegistry;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zv_analytics::Series;
 use zv_storage::{
     parallel, Atom, CmpOp, Column, DynDatabase, Predicate, QueryCtx, QueryKey, ResultTable,
-    SelectQuery, StorageError, Value, XSpec, YSpec,
+    SelectQuery, StorageError, Table, Value, XSpec, YSpec,
 };
 
 /// Process-column scoring loops below this many combinations stay serial
@@ -130,7 +132,10 @@ pub struct ExecReport {
     pub queries_degraded: u64,
     /// Time inside the database backend.
     pub db_time: Duration,
-    /// Post-processing (task) time.
+    /// Post-processing time: distributing fetched results to component
+    /// cells at each flush, plus the Process-column tasks. The rest,
+    /// `total_time − db_time − compute_time`, is planning and cell
+    /// materialization.
     pub compute_time: Duration,
     pub total_time: Duration,
 }
@@ -245,6 +250,10 @@ impl ZqlEngine {
 
 type GroupId = usize;
 
+/// A variable assignment: the domain position of each iterated group.
+/// It holds a handful of groups, so lookups scan it.
+type Env = [(GroupId, usize)];
+
 /// Deduplicated groups behind an iteration, plus each variable's
 /// `(group, column)` slot.
 type IterationGroups = (Vec<GroupId>, Vec<(GroupId, usize)>);
@@ -255,6 +264,18 @@ enum AxisValue {
     Attr(AttrExpr),
     Val(Value),
     Viz(VizSpec),
+}
+
+// Equal values hash equal: the hash skips the bin width.
+impl Hash for AxisValue {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            AxisValue::Attr(a) => a.hash(state),
+            AxisValue::Val(v) => v.hash(state),
+            AxisValue::Viz(v) => (v.chart, v.y_agg).hash(state),
+        }
+    }
 }
 
 impl AxisValue {
@@ -285,6 +306,13 @@ struct CellSpec {
     z: Vec<(String, Value)>,
     viz: VizSpec,
     predicate: Predicate,
+}
+
+// Equal cells hash equal: the hash covers x, y and z only.
+impl Hash for CellSpec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (&self.x, &self.y, &self.z).hash(state);
+    }
 }
 
 impl CellSpec {
@@ -346,14 +374,15 @@ enum VizSlot {
     Group(GroupId, usize),
 }
 
-/// A data-fetch unit: one SQL query plus the component cells it feeds.
+/// A data-fetch unit: one SQL query plus the cells of one component it
+/// feeds.
 struct BatchQuery {
     query: SelectQuery,
+    component: String,
     consumers: Vec<Consumer>,
 }
 
 struct Consumer {
-    component: String,
     cell: usize,
     /// Indices into the query's `ys` to sum (composite `+` measures).
     y_idxs: Vec<usize>,
@@ -373,6 +402,13 @@ struct Exec<'a> {
     /// Lifecycle handle covering the whole ZQL execution: one user
     /// interaction = one ctx, threaded into every `run_request_ctx`.
     ctx: &'a QueryCtx,
+    /// The table snapshot every planning step of this execution reads.
+    table: Arc<Table>,
+    /// Distinct values per attribute, resolved at most once per
+    /// execution (a numeric column's are a full scan plus a sort).
+    distinct: HashMap<String, Arc<[Value]>>,
+    /// How many times `distinct` missed.
+    distinct_scans: usize,
     groups: Vec<VarGroup>,
     /// var name → (group, column)
     var_of: HashMap<String, (GroupId, usize)>,
@@ -401,6 +437,9 @@ impl<'a> Exec<'a> {
             engine,
             inputs,
             ctx,
+            table: engine.db.table(),
+            distinct: HashMap::new(),
+            distinct_scans: 0,
             groups: Vec::new(),
             var_of: HashMap::new(),
             var_attr: HashMap::new(),
@@ -413,7 +452,7 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn run(mut self, query: &ZqlQuery) -> Result<ZqlOutput, ZqlError> {
+    fn run(&mut self, query: &ZqlQuery) -> Result<ZqlOutput, ZqlError> {
         let start = Instant::now();
         let db_before = self.engine.db.stats().snapshot();
         self.built_rows = vec![false; query.rows.len()];
@@ -660,13 +699,14 @@ impl<'a> Exec<'a> {
     /// Ordered, deduplicated values a variable ranges over (`v.range`).
     fn var_range(&self, v: &str) -> Result<Vec<AxisValue>, ZqlError> {
         let (gid, col) = self.lookup_var(v)?;
-        let mut out: Vec<AxisValue> = Vec::new();
-        for row in &self.groups[gid].domain {
-            if !out.contains(&row[col]) {
-                out.push(row[col].clone());
-            }
-        }
-        Ok(out)
+        let mut seen = Members::new();
+        Ok(self.groups[gid]
+            .domain
+            .iter()
+            .map(|row| &row[col])
+            .filter(|av| seen.insert_new(*av))
+            .cloned()
+            .collect())
     }
 
     fn build_fresh_row(&mut self, row: &ZqlRow) -> Result<(), ZqlError> {
@@ -711,10 +751,9 @@ impl<'a> Exec<'a> {
             .product::<usize>()
             .max(if dims.is_empty() { 1 } else { 0 });
         let mut cells = Vec::with_capacity(total);
+        let mut env = new_env(&dims);
         for flat in 0..total {
-            let combo = unflatten(flat, &lens);
-            let env: HashMap<GroupId, usize> =
-                dims.iter().copied().zip(combo.iter().copied()).collect();
+            place(flat, &lens, &mut env);
             let x = self.slot_attr(&x_slot, &env)?;
             let y = self.slot_attr(&y_slot, &env)?;
             let mut z = Vec::with_capacity(z_slots.len());
@@ -723,7 +762,7 @@ impl<'a> Exec<'a> {
             }
             let viz = match &viz_slot {
                 VizSlot::Fixed(v) => v.clone(),
-                VizSlot::Group(g, c) => match &self.groups[*g].domain[env[g]][*c] {
+                VizSlot::Group(g, c) => match &self.groups[*g].domain[env_pos(&env, *g)][*c] {
                     AxisValue::Viz(v) => v.clone(),
                     other => return Err(sem(format!("viz variable bound to {other:?}"))),
                 },
@@ -781,22 +820,17 @@ impl<'a> Exec<'a> {
         Ok(match set {
             AttrSet::List(items) => items.clone(),
             AttrSet::All => self
-                .engine
-                .db
-                .table()
+                .table
                 .attribute_names()
                 .into_iter()
                 .map(AttrExpr::Attr)
                 .collect(),
-            AttrSet::AllExcept(except) => self
-                .engine
-                .db
-                .table()
-                .attribute_names()
-                .into_iter()
-                .filter(|a| !except.contains(a))
-                .map(AttrExpr::Attr)
-                .collect(),
+            AttrSet::AllExcept(except) => {
+                filter_by(self.table.attribute_names(), except, false, |a| a)
+                    .into_iter()
+                    .map(AttrExpr::Attr)
+                    .collect()
+            }
             AttrSet::Named(n) => self
                 .engine
                 .registry
@@ -815,37 +849,32 @@ impl<'a> Exec<'a> {
                 })
                 .collect::<Result<_, _>>()?,
             AttrSet::Union(a, b) => {
-                let mut out = self.resolve_attr_set(a)?;
-                for item in self.resolve_attr_set(b)? {
-                    if !out.contains(&item) {
-                        out.push(item);
-                    }
-                }
-                out
+                union_by(self.resolve_attr_set(a)?, self.resolve_attr_set(b)?, |i| i)
             }
             AttrSet::Diff(a, b) => {
                 let rhs = self.resolve_attr_set(b)?;
-                self.resolve_attr_set(a)?
-                    .into_iter()
-                    .filter(|i| !rhs.contains(i))
-                    .collect()
+                filter_by(self.resolve_attr_set(a)?, &rhs, false, |i| i)
             }
             AttrSet::Intersect(a, b) => {
                 let rhs = self.resolve_attr_set(b)?;
-                self.resolve_attr_set(a)?
-                    .into_iter()
-                    .filter(|i| rhs.contains(i))
-                    .collect()
+                filter_by(self.resolve_attr_set(a)?, &rhs, true, |i| i)
             }
         })
     }
 
-    fn distinct_values(&self, attr: &str) -> Result<Vec<Value>, ZqlError> {
-        Ok(self.engine.db.table().column(attr)?.distinct_values())
+    /// The distinct values of `attr`, from the per-execution memo.
+    fn distinct_values(&mut self, attr: &str) -> Result<Arc<[Value]>, ZqlError> {
+        if let Some(values) = self.distinct.get(attr) {
+            return Ok(values.clone());
+        }
+        let values: Arc<[Value]> = self.table.column(attr)?.distinct_values().into();
+        self.distinct_scans += 1;
+        self.distinct.insert(attr.to_string(), values.clone());
+        Ok(values)
     }
 
     fn resolve_value_set(
-        &self,
+        &mut self,
         set: &ValueSet,
         attr: Option<&str>,
     ) -> Result<Vec<Value>, ZqlError> {
@@ -853,14 +882,11 @@ impl<'a> Exec<'a> {
             ValueSet::List(v) => v.clone(),
             ValueSet::All => {
                 let attr = attr.ok_or_else(|| sem("'*' needs an attribute context"))?;
-                self.distinct_values(attr)?
+                self.distinct_values(attr)?.to_vec()
             }
             ValueSet::AllExcept(except) => {
                 let attr = attr.ok_or_else(|| sem("'* \\ …' needs an attribute context"))?;
-                self.distinct_values(attr)?
-                    .into_iter()
-                    .filter(|v| !except.contains(v))
-                    .collect()
+                filter_by(self.distinct_values(attr)?.to_vec(), except, false, |v| v)
             }
             ValueSet::Named(n) => self
                 .engine
@@ -877,27 +903,16 @@ impl<'a> Exec<'a> {
                 })
                 .collect::<Result<_, _>>()?,
             ValueSet::Union(a, b) => {
-                let mut out = self.resolve_value_set(a, attr)?;
-                for item in self.resolve_value_set(b, attr)? {
-                    if !out.contains(&item) {
-                        out.push(item);
-                    }
-                }
-                out
+                let lhs = self.resolve_value_set(a, attr)?;
+                union_by(lhs, self.resolve_value_set(b, attr)?, |i| i)
             }
             ValueSet::Diff(a, b) => {
                 let rhs = self.resolve_value_set(b, attr)?;
-                self.resolve_value_set(a, attr)?
-                    .into_iter()
-                    .filter(|i| !rhs.contains(i))
-                    .collect()
+                filter_by(self.resolve_value_set(a, attr)?, &rhs, false, |i| i)
             }
             ValueSet::Intersect(a, b) => {
                 let rhs = self.resolve_value_set(b, attr)?;
-                self.resolve_value_set(a, attr)?
-                    .into_iter()
-                    .filter(|i| rhs.contains(i))
-                    .collect()
+                filter_by(self.resolve_value_set(a, attr)?, &rhs, true, |i| i)
             }
         })
     }
@@ -914,7 +929,7 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn resolve_zset_pairs(&self, set: &ZSet) -> Result<Vec<(String, Value)>, ZqlError> {
+    fn resolve_zset_pairs(&mut self, set: &ZSet) -> Result<Vec<(String, Value)>, ZqlError> {
         Ok(match set {
             ZSet::AttrValues { attr, values } => {
                 let attr = match attr {
@@ -941,13 +956,8 @@ impl<'a> Exec<'a> {
                 out
             }
             ZSet::Union(a, b) => {
-                let mut out = self.resolve_zset_pairs(a)?;
-                for p in self.resolve_zset_pairs(b)? {
-                    if !out.contains(&p) {
-                        out.push(p);
-                    }
-                }
-                out
+                let lhs = self.resolve_zset_pairs(a)?;
+                union_by(lhs, self.resolve_zset_pairs(b)?, |p| p)
             }
         })
     }
@@ -1069,9 +1079,7 @@ impl<'a> Exec<'a> {
     }
 
     fn in_predicate(&self, attr: &str, values: &[Value]) -> Result<Predicate, ZqlError> {
-        let table = self.engine.db.table();
-        let col = table.column(attr)?;
-        match col {
+        match self.table.column(attr)? {
             Column::Cat(_) => {
                 let strs = values
                     .iter()
@@ -1101,10 +1109,10 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn slot_attr(&self, slot: &Slot, env: &HashMap<GroupId, usize>) -> Result<AttrExpr, ZqlError> {
+    fn slot_attr(&self, slot: &Slot, env: &Env) -> Result<AttrExpr, ZqlError> {
         match slot {
             Slot::FixedAttr(a) => Ok(a.clone()),
-            Slot::Group(g, c) => match &self.groups[*g].domain[env[g]][*c] {
+            Slot::Group(g, c) => match &self.groups[*g].domain[env_pos(env, *g)][*c] {
                 AxisValue::Attr(a) => Ok(a.clone()),
                 other => Err(sem(format!(
                     "axis variable bound to non-attribute {}",
@@ -1114,23 +1122,21 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn zslot_pair(
-        &self,
-        slot: &ZSlot,
-        env: &HashMap<GroupId, usize>,
-    ) -> Result<(String, Value), ZqlError> {
+    fn zslot_pair(&self, slot: &ZSlot, env: &Env) -> Result<(String, Value), ZqlError> {
         match slot {
             ZSlot::Fixed { attr, value } => Ok((attr.clone(), value.clone())),
-            ZSlot::Values { gid, col, attr } => match &self.groups[*gid].domain[env[gid]][*col] {
-                AxisValue::Val(v) => Ok((attr.clone(), v.clone())),
-                other => Err(sem(format!("z variable bound to non-value {other:?}"))),
-            },
+            ZSlot::Values { gid, col, attr } => {
+                match &self.groups[*gid].domain[env_pos(env, *gid)][*col] {
+                    AxisValue::Val(v) => Ok((attr.clone(), v.clone())),
+                    other => Err(sem(format!("z variable bound to non-value {other:?}"))),
+                }
+            }
             ZSlot::Pairs {
                 gid,
                 attr_col,
                 val_col,
             } => {
-                let row = &self.groups[*gid].domain[env[gid]];
+                let row = &self.groups[*gid].domain[env_pos(env, *gid)];
                 let attr = match &row[*attr_col] {
                     AxisValue::Attr(AttrExpr::Attr(a)) => a.clone(),
                     other => return Err(sem(format!("pair attribute is {other:?}"))),
@@ -1276,17 +1282,11 @@ impl<'a> Exec<'a> {
             }
             NameExpr::Sub(a, b) => {
                 let rhs = self.eval_name_expr(b)?;
-                self.eval_name_expr(a)?
-                    .into_iter()
-                    .filter(|(c, _)| !rhs.iter().any(|(rc, _)| rc == c))
-                    .collect()
+                filter_by(self.eval_name_expr(a)?, &rhs, false, |(c, _)| c)
             }
             NameExpr::Intersect(a, b) => {
                 let rhs = self.eval_name_expr(b)?;
-                self.eval_name_expr(a)?
-                    .into_iter()
-                    .filter(|(c, _)| rhs.iter().any(|(rc, _)| rc == c))
-                    .collect()
+                filter_by(self.eval_name_expr(a)?, &rhs, true, |(c, _)| c)
             }
             NameExpr::Index(inner, i) => {
                 let cells = self.eval_name_expr(inner)?;
@@ -1310,16 +1310,7 @@ impl<'a> Exec<'a> {
                     cells[a - 1..hi].to_vec()
                 }
             }
-            NameExpr::Range(inner) => {
-                let cells = self.eval_name_expr(inner)?;
-                let mut out: Vec<(CellSpec, Series)> = Vec::new();
-                for (c, s) in cells {
-                    if !out.iter().any(|(oc, _)| *oc == c) {
-                        out.push((c, s));
-                    }
-                }
-                out
-            }
+            NameExpr::Range(inner) => union_by(Vec::new(), self.eval_name_expr(inner)?, |(c, _)| c),
             // `.order` is applied by the caller (needs the row's markers).
             NameExpr::Order(inner) => self.eval_name_expr(inner)?,
         })
@@ -1342,16 +1333,41 @@ impl<'a> Exec<'a> {
                 Ok(c)
             })
             .collect::<Result<_, _>>()?;
+        // Bucket the cells by the hash of every key the first variable
+        // can match them on, in cell order. A domain row then checks only
+        // its bucket (a superset of its matches) instead of every cell;
+        // `cell_matches` still decides, so the first match wins as before.
+        let hasher = RandomState::new();
+        let attr0 = self.var_attr.get(&order_vars[0]);
+        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+        for (i, (c, _)) in cells.iter().enumerate() {
+            let vals = c.z.iter().filter(|(za, _)| attr0.is_none_or(|a| za == a));
+            let keys = vals.map(|(_, zv)| hasher.hash_one(zv)).chain([
+                hasher.hash_one(c.x.attrs().join("×")),
+                hasher.hash_one(c.y.attrs().join("+")),
+            ]);
+            for key in keys {
+                let bucket = buckets.entry(key).or_default();
+                if bucket.last() != Some(&i) {
+                    bucket.push(i);
+                }
+            }
+        }
+        let every: Vec<usize> = (0..cells.len()).collect();
         let mut out = Vec::new();
         for domain_row in &self.groups[gid].domain {
-            let matched = cells.iter().find(|(c, _)| {
-                order_vars
-                    .iter()
-                    .zip(&cols)
-                    .all(|(v, &col)| cell_matches(c, self.var_attr.get(v), &domain_row[col]))
+            let candidates = match &domain_row[cols[0]] {
+                AxisValue::Val(v) => buckets.get(&hasher.hash_one(v)),
+                AxisValue::Attr(a) => buckets.get(&hasher.hash_one(a.attrs().join("×"))),
+                AxisValue::Viz(_) => Some(&every),
+            };
+            let matched = candidates.into_iter().flatten().find(|&&i| {
+                order_vars.iter().zip(&cols).all(|(v, &col)| {
+                    cell_matches(&cells[i].0, self.var_attr.get(v), &domain_row[col])
+                })
             });
-            if let Some(m) = matched {
-                out.push(m.clone());
+            if let Some(&i) = matched {
+                out.push(cells[i].clone());
             }
         }
         Ok(out)
@@ -1374,8 +1390,8 @@ impl<'a> Exec<'a> {
             let (query, y_idxs, flatten_x) = self.cell_query(cell, false)?;
             self.pending.push(BatchQuery {
                 query,
+                component: name.to_string(),
                 consumers: vec![Consumer {
-                    component: name.to_string(),
                     cell: idx,
                     y_idxs,
                     z_key: Vec::new(),
@@ -1388,23 +1404,26 @@ impl<'a> Exec<'a> {
 
     /// §5.2 intra-line: merge cells that differ only in Z values (and/or
     /// Y measure) into combined GROUP BY queries.
+    ///
+    /// O(cells): each cell is compared with the few distinct batch keys
+    /// (the last one first, since cells of a batch are mostly adjacent),
+    /// its Z values are deduplicated through per-attribute hash sets, and
+    /// the "strict subset?" test reads a cardinality instead of listing
+    /// the column's values.
     fn plan_batched(&mut self, name: &str, comp: &Component) -> Result<(), ZqlError> {
         // Partition cells by everything except z *values* and y.
-        let mut batches: HashMap<String, Vec<usize>> = HashMap::new();
-        let mut order: Vec<String> = Vec::new();
+        let mut batches: Vec<Vec<usize>> = Vec::new();
         for (idx, cell) in comp.cells.iter().enumerate() {
-            let z_attrs: Vec<&str> = cell.z.iter().map(|(a, _)| a.as_str()).collect();
-            let key = format!(
-                "{:?}|{:?}|{:?}|{:?}|{:?}",
-                cell.x, z_attrs, cell.viz.x_bin, cell.viz.y_agg, cell.predicate
-            );
-            if !batches.contains_key(&key) {
-                order.push(key.clone());
+            match batches
+                .iter_mut()
+                .rev()
+                .find(|b| same_batch(&comp.cells[b[0]], cell))
+            {
+                Some(b) => b.push(idx),
+                None => batches.push(vec![idx]),
             }
-            batches.entry(key).or_default().push(idx);
         }
-        for key in order {
-            let idxs = &batches[&key];
+        for idxs in &batches {
             let first = &comp.cells[idxs[0]];
             if matches!(first.x, AttrExpr::Cross(_)) {
                 // Cross axes keep per-cell queries (they already group).
@@ -1412,8 +1431,8 @@ impl<'a> Exec<'a> {
                     let (query, y_idxs, flatten_x) = self.cell_query(&comp.cells[idx], false)?;
                     self.pending.push(BatchQuery {
                         query,
+                        component: name.to_string(),
                         consumers: vec![Consumer {
-                            component: name.to_string(),
                             cell: idx,
                             y_idxs,
                             z_key: Vec::new(),
@@ -1425,34 +1444,29 @@ impl<'a> Exec<'a> {
             }
             // Combined query: GROUP BY z attrs, all y measures at once.
             let mut ys: Vec<YSpec> = Vec::new();
-            let mut y_index: HashMap<String, usize> = HashMap::new();
+            let mut y_index: HashMap<&str, usize> = HashMap::new();
             let mut consumers = Vec::with_capacity(idxs.len());
-            let z_attrs: Vec<String> = first.z.iter().map(|(a, _)| a.clone()).collect();
             // Restrict each grouped attribute to the values actually
-            // requested ("WHERE product IN P" in the paper's rewrite).
-            let mut z_values: Vec<Vec<Value>> = vec![Vec::new(); z_attrs.len()];
+            // requested ("WHERE product IN P" in the paper's rewrite),
+            // in first-seen order.
+            let mut z_seen: Vec<Members<Value>> = first.z.iter().map(|_| Members::new()).collect();
+            let mut z_values: Vec<Vec<Value>> = vec![Vec::new(); first.z.len()];
             for &idx in idxs {
                 let cell = &comp.cells[idx];
                 let mut y_idxs = Vec::new();
                 for yattr in cell.y.attrs() {
-                    let slot = match y_index.get(yattr) {
-                        Some(&s) => s,
-                        None => {
-                            let s = ys.len();
-                            ys.push(YSpec::new(yattr.to_string(), cell.viz.y_agg));
-                            y_index.insert(yattr.to_string(), s);
-                            s
-                        }
-                    };
+                    let slot = *y_index.entry(yattr).or_insert_with(|| {
+                        ys.push(YSpec::new(yattr.to_string(), cell.viz.y_agg));
+                        ys.len() - 1
+                    });
                     y_idxs.push(slot);
                 }
                 for (zi, (_, v)) in cell.z.iter().enumerate() {
-                    if !z_values[zi].contains(v) {
+                    if z_seen[zi].insert_new(v) {
                         z_values[zi].push(v.clone());
                     }
                 }
                 consumers.push(Consumer {
-                    component: name.to_string(),
                     cell: idx,
                     y_idxs,
                     z_key: cell.z.iter().map(|(_, v)| v.clone()).collect(),
@@ -1465,11 +1479,14 @@ impl<'a> Exec<'a> {
                 AttrExpr::Cross(_) => unreachable!("handled above"),
             };
             let mut predicate = first.predicate.clone();
-            for (attr, values) in z_attrs.iter().zip(&z_values) {
+            for ((attr, _), values) in first.z.iter().zip(&z_values) {
                 // Only restrict when it's an actual subset; an IN over
                 // every value would just slow the scan down.
-                let all = self.distinct_values(attr)?;
-                if values.len() < all.len() {
+                let cardinality = match self.table.column(attr)? {
+                    Column::Cat(c) => c.cardinality(),
+                    _ => self.distinct_values(attr)?.len(),
+                };
+                if values.len() < cardinality {
                     predicate = predicate.and(self.in_predicate(attr, values)?);
                 }
             }
@@ -1481,10 +1498,14 @@ impl<'a> Exec<'a> {
                 ys,
             )
             .with_predicate(predicate);
-            for z in z_attrs {
-                query = query.with_z(z);
+            for (attr, _) in &first.z {
+                query = query.with_z(attr.clone());
             }
-            self.pending.push(BatchQuery { query, consumers });
+            self.pending.push(BatchQuery {
+                query,
+                component: name.to_string(),
+                consumers,
+            });
         }
         Ok(())
     }
@@ -1496,9 +1517,8 @@ impl<'a> Exec<'a> {
         _grouped: bool,
     ) -> Result<(SelectQuery, Vec<usize>, bool), ZqlError> {
         let mut predicate = cell.predicate.clone();
-        let table = self.engine.db.table();
         for (attr, value) in &cell.z {
-            let atom = match (table.column(attr)?, value) {
+            let atom = match (self.table.column(attr)?, value) {
                 (Column::Cat(_), Value::Str(s)) => Predicate::cat_eq(attr.clone(), s.clone()),
                 (_, v) => {
                     let n = v
@@ -1622,6 +1642,10 @@ impl<'a> Exec<'a> {
                 &fresh[i]
             };
             let index = result.index();
+            let comp = self
+                .components
+                .get_mut(&batch.component)
+                .ok_or_else(|| sem(format!("internal: component {}", batch.component)))?;
             for consumer in &batch.consumers {
                 let series = if consumer.flatten_x {
                     // Concatenate groups sequentially (x = a×b axes).
@@ -1644,10 +1668,6 @@ impl<'a> Exec<'a> {
                         None => Series::default(),
                     }
                 };
-                let comp = self
-                    .components
-                    .get_mut(&consumer.component)
-                    .ok_or_else(|| sem(format!("internal: component {}", consumer.component)))?;
                 comp.series[consumer.cell] = Some(series);
             }
         }
@@ -1715,20 +1735,17 @@ impl<'a> Exec<'a> {
         // combination order, so ranking stays deterministic.
         let this: &Exec<'_> = self;
         let threads = if total >= PROCESS_PARALLEL_MIN { 0 } else { 1 };
-        let mut scored: Vec<(Vec<usize>, f64)> =
-            parallel::try_parallel_map(total, threads, |flat| {
-                let combo = unflatten(flat, &lens);
-                let env: HashMap<GroupId, usize> =
-                    gids.iter().copied().zip(combo.iter().copied()).collect();
-                let score = this.eval_obj(objective, &env)?;
-                Ok::<_, ZqlError>((combo, score))
-            })?;
+        let mut scored: Vec<(usize, f64)> = parallel::try_parallel_map(total, threads, |flat| {
+            let mut env = new_env(&gids);
+            place(flat, &lens, &mut env);
+            Ok::<_, ZqlError>((flat, this.eval_obj(objective, &env)?))
+        })?;
         match mechanism {
             Mechanism::ArgMin => scored.sort_by(|a, b| a.1.total_cmp(&b.1)),
             Mechanism::ArgMax => scored.sort_by(|a, b| b.1.total_cmp(&a.1)),
             Mechanism::ArgAny => {}
         }
-        let kept: Vec<&(Vec<usize>, f64)> = match filter {
+        let kept: Vec<&(usize, f64)> = match filter {
             ProcessFilter::TopK(k) => scored.iter().take(k).collect(),
             ProcessFilter::Threshold { op, value } => {
                 scored.iter().filter(|(_, s)| op.eval(*s, value)).collect()
@@ -1736,18 +1753,8 @@ impl<'a> Exec<'a> {
             ProcessFilter::None => scored.iter().collect(),
         };
         // Output group: lockstep tuples, outputs[i] ← over[i]'s value.
-        let domain: Vec<Vec<AxisValue>> = kept
-            .iter()
-            .map(|(combo, _)| {
-                slots
-                    .iter()
-                    .map(|(g, c)| {
-                        let gi = gids.iter().position(|x| x == g).unwrap();
-                        self.groups[*g].domain[combo[gi]][*c].clone()
-                    })
-                    .collect()
-            })
-            .collect();
+        let flats = kept.iter().map(|&&(flat, _)| flat);
+        let domain = self.bind_combos(flats, &gids, &lens, &slots);
         for (out, src) in outputs.iter().zip(over) {
             if let Some(attr) = self.var_attr.get(src).cloned() {
                 self.var_attr.insert(out.clone(), attr);
@@ -1774,29 +1781,13 @@ impl<'a> Exec<'a> {
         let total: usize = lens.iter().product();
         let this: &Exec<'_> = self;
         let threads = if total >= PROCESS_PARALLEL_MIN { 0 } else { 1 };
-        let (combos, series): (Vec<Vec<usize>>, Vec<Series>) =
-            parallel::try_parallel_map(total, threads, |flat| {
-                let combo = unflatten(flat, &lens);
-                let env: HashMap<GroupId, usize> =
-                    gids.iter().copied().zip(combo.iter().copied()).collect();
-                let s = this.component_series(component, &env)?;
-                Ok::<_, ZqlError>((combo, s))
-            })?
-            .into_iter()
-            .unzip();
+        let series: Vec<Series> = parallel::try_parallel_map(total, threads, |flat| {
+            let mut env = new_env(&gids);
+            place(flat, &lens, &mut env);
+            this.component_series(component, &env).cloned()
+        })?;
         let picked = self.engine.registry.r(&series, k);
-        let domain: Vec<Vec<AxisValue>> = picked
-            .iter()
-            .map(|&i| {
-                slots
-                    .iter()
-                    .map(|(g, c)| {
-                        let gi = gids.iter().position(|x| x == g).unwrap();
-                        self.groups[*g].domain[combos[i][gi]][*c].clone()
-                    })
-                    .collect()
-            })
-            .collect();
+        let domain = self.bind_combos(picked, &gids, &lens, &slots);
         for (out, src) in outputs.iter().zip(over) {
             if let Some(attr) = self.var_attr.get(src).cloned() {
                 self.var_attr.insert(out.clone(), attr);
@@ -1806,19 +1797,37 @@ impl<'a> Exec<'a> {
         Ok(())
     }
 
-    /// The series of `component` at the variable assignment `env`.
-    fn component_series(
+    /// The output tuples of the combinations `flats` (row-major over
+    /// `gids`): each variable's value, per its `(group, column)` slot.
+    fn bind_combos(
         &self,
-        name: &str,
-        env: &HashMap<GroupId, usize>,
-    ) -> Result<Series, ZqlError> {
+        flats: impl IntoIterator<Item = usize>,
+        gids: &[GroupId],
+        lens: &[usize],
+        slots: &[(GroupId, usize)],
+    ) -> Vec<Vec<AxisValue>> {
+        let mut env = new_env(gids);
+        flats
+            .into_iter()
+            .map(|flat| {
+                place(flat, lens, &mut env);
+                slots
+                    .iter()
+                    .map(|&(g, c)| self.groups[g].domain[env_pos(&env, g)][c].clone())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The series of `component` at the variable assignment `env`.
+    fn component_series(&self, name: &str, env: &Env) -> Result<&Series, ZqlError> {
         let comp = self
             .components
             .get(name)
             .ok_or_else(|| sem(format!("unknown component '{name}'")))?;
         let mut idx = 0usize;
         for &g in &comp.dims {
-            let i = *env.get(&g).ok_or_else(|| {
+            let i = env_get(env, g).ok_or_else(|| {
                 sem(format!(
                     "component '{name}' needs an index for variable group ({})",
                     self.groups[g].vars.join(", ")
@@ -1833,22 +1842,22 @@ impl<'a> Exec<'a> {
             )));
         }
         comp.series[idx]
-            .clone()
+            .as_ref()
             .ok_or_else(|| sem(format!("component '{name}' not fetched before use")))
     }
 
-    fn eval_obj(&self, expr: &ObjExpr, env: &HashMap<GroupId, usize>) -> Result<f64, ZqlError> {
+    fn eval_obj(&self, expr: &ObjExpr, env: &Env) -> Result<f64, ZqlError> {
         Ok(match expr {
-            ObjExpr::T(f) => self.engine.registry.t(&self.component_series(f, env)?),
+            ObjExpr::T(f) => self.engine.registry.t(self.component_series(f, env)?),
             ObjExpr::D(a, b) => self.engine.registry.d(
-                &self.component_series(a, env)?,
-                &self.component_series(b, env)?,
+                self.component_series(a, env)?,
+                self.component_series(b, env)?,
             ),
             ObjExpr::Neg(inner) => -self.eval_obj(inner, env)?,
             ObjExpr::UserFn { name, args } => {
                 let series: Vec<Series> = args
                     .iter()
-                    .map(|a| self.component_series(a, env))
+                    .map(|a| self.component_series(a, env).cloned())
                     .collect::<Result<_, _>>()?;
                 self.engine
                     .registry
@@ -1857,8 +1866,8 @@ impl<'a> Exec<'a> {
             }
             ObjExpr::InnerAgg { op, vars, expr } => {
                 let (gids, _) = self.iteration_groups(vars)?;
-                for g in &gids {
-                    if env.contains_key(g) {
+                for &g in &gids {
+                    if env_get(env, g).is_some() {
                         return Err(sem(
                             "inner aggregation variables must differ from the outer iteration"
                                 .to_string(),
@@ -1872,10 +1881,11 @@ impl<'a> Exec<'a> {
                     InnerOp::Max => f64::NEG_INFINITY,
                     InnerOp::Sum | InnerOp::Avg => 0.0,
                 };
+                // The outer assignment, then the inner groups' positions.
+                let mut inner_env: Vec<(GroupId, usize)> = env.to_vec();
+                inner_env.extend(new_env(&gids));
                 for flat in 0..total {
-                    let combo = unflatten(flat, &lens);
-                    let mut inner_env = env.clone();
-                    inner_env.extend(gids.iter().copied().zip(combo.iter().copied()));
+                    place(flat, &lens, &mut inner_env[env.len()..]);
                     let v = self.eval_obj(expr, &inner_env)?;
                     match op {
                         InnerOp::Min => acc = acc.min(v),
@@ -1896,13 +1906,117 @@ impl<'a> Exec<'a> {
 // Helpers
 // ---------------------------------------------------------------------
 
-fn unflatten(mut flat: usize, lens: &[usize]) -> Vec<usize> {
-    let mut combo = vec![0usize; lens.len()];
-    for i in (0..lens.len()).rev() {
-        combo[i] = flat % lens[i];
-        flat /= lens[i];
+/// An assignment of `gids`, every position 0 until [`place`]d.
+fn new_env(gids: &[GroupId]) -> Vec<(GroupId, usize)> {
+    gids.iter().map(|&g| (g, 0)).collect()
+}
+
+/// Write combination `flat` of groups sized `lens` into `env`'s
+/// positions, row-major (the last group varies fastest).
+fn place(mut flat: usize, lens: &[usize], env: &mut Env) {
+    for (slot, &len) in env.iter_mut().zip(lens).rev() {
+        slot.1 = flat % len;
+        flat /= len;
     }
-    combo
+}
+
+fn env_get(env: &Env, gid: GroupId) -> Option<usize> {
+    env.iter().find(|&&(g, _)| g == gid).map(|&(_, i)| i)
+}
+
+/// Position of a group every cell of the iteration assigns.
+fn env_pos(env: &Env, gid: GroupId) -> usize {
+    env_get(env, gid).expect("group assigned by the iteration")
+}
+
+/// Same batch key: everything but the z *values* and y.
+fn same_batch(a: &CellSpec, b: &CellSpec) -> bool {
+    a.x == b.x
+        && a.viz.x_bin == b.viz.x_bin
+        && a.viz.y_agg == b.viz.y_agg
+        && a.predicate == b.predicate
+        && a.z.len() == b.z.len()
+        && a.z.iter().zip(&b.z).all(|((x, _), (y, _))| x == y)
+}
+
+/// Borrowed keys bucketed by hash. A lookup compares the key with every
+/// stored key of its hash, so it answers exactly as `Vec::contains`
+/// would, also for `Value`'s non-transitive `==`: `Int(0)` equals both
+/// `0.0` and `-0.0`, which differ, and a `HashSet` holding one "equal"
+/// key in place of two would miss the other.
+struct Members<'a, K: ?Sized> {
+    hasher: RandomState,
+    buckets: HashMap<u64, Vec<&'a K>>,
+}
+
+impl<'a, K: Hash + PartialEq + ?Sized> Members<'a, K> {
+    fn new() -> Self {
+        Members {
+            hasher: RandomState::new(),
+            buckets: HashMap::new(),
+        }
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        let bucket = self.buckets.get(&self.hasher.hash_one(key));
+        bucket.is_some_and(|b| b.contains(&key))
+    }
+
+    /// Inserts `key` unless an equal key is present; true if inserted.
+    fn insert_new(&mut self, key: &'a K) -> bool {
+        let bucket = self.buckets.entry(self.hasher.hash_one(key)).or_default();
+        let new = !bucket.contains(&key);
+        if new {
+            bucket.push(key);
+        }
+        new
+    }
+}
+
+impl<'a, K: Hash + PartialEq + ?Sized> FromIterator<&'a K> for Members<'a, K> {
+    /// Every key, duplicates included.
+    fn from_iter<I: IntoIterator<Item = &'a K>>(keys: I) -> Self {
+        let mut members = Members::new();
+        for key in keys {
+            let hash = members.hasher.hash_one(key);
+            members.buckets.entry(hash).or_default().push(key);
+        }
+        members
+    }
+}
+
+/// `out` extended by each item of `more` whose key is not already in it:
+/// the hashed form of "push unless `out.contains`", first occurrence
+/// kept. Items already in `out` are not deduplicated.
+fn union_by<T, K: Hash + PartialEq + ?Sized>(
+    mut out: Vec<T>,
+    more: Vec<T>,
+    key: impl Fn(&T) -> &K,
+) -> Vec<T> {
+    let keep: Vec<bool> = {
+        let mut seen: Members<K> = out.iter().map(&key).collect();
+        more.iter().map(|i| seen.insert_new(key(i))).collect()
+    };
+    out.extend(
+        more.into_iter()
+            .zip(keep)
+            .filter_map(|(i, k)| k.then_some(i)),
+    );
+    out
+}
+
+/// The items of `lhs` whose key is (`present`) or is not (`!present`)
+/// the key of an item of `rhs`, order kept.
+fn filter_by<T, K: Hash + PartialEq + ?Sized>(
+    lhs: Vec<T>,
+    rhs: &[T],
+    present: bool,
+    key: impl Fn(&T) -> &K,
+) -> Vec<T> {
+    let rhs: Members<K> = rhs.iter().map(&key).collect();
+    lhs.into_iter()
+        .filter(|i| rhs.contains(key(i)) == present)
+        .collect()
 }
 
 fn combine_measures(g: &zv_storage::GroupSeries, y_idxs: &[usize]) -> Series {
@@ -1949,5 +2063,44 @@ fn cell_matches(cell: &CellSpec, attr: Option<&String>, value: &AxisValue) -> bo
             cell.x.attrs().join("×") == name || cell.y.attrs().join("+") == name
         }
         AxisValue::Viz(v) => cell.viz == *v,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zv_datagen::sales::{self, SalesConfig};
+    use zv_storage::BitmapDb;
+
+    #[test]
+    fn numeric_z_resolves_distinct_values_once_per_execution() {
+        // `'year'.*` is listed twice and `v2` is a strict subset of it,
+        // so planning asks for the years' values and cardinality four
+        // times; an int column answers each with a full scan + sort.
+        let table = sales::generate(&SalesConfig {
+            rows: 5_000,
+            products: 8,
+            ..Default::default()
+        });
+        let query = parse_query(
+            "name | x | y | z | process\n\
+             f1 | 'month' | 'sales' | v1 <- 'year'.* | v2 <- argmax(v1)[k=2] T(f1)\n\
+             *f2 | 'month' | 'sales' | v2 |\n\
+             *f3 | 'month' | 'profit' | v3 <- 'year'.* |",
+        )
+        .unwrap();
+        for opt in [
+            OptLevel::NoOpt,
+            OptLevel::IntraLine,
+            OptLevel::IntraTask,
+            OptLevel::InterTask,
+        ] {
+            let engine = ZqlEngine::with_opt_level(Arc::new(BitmapDb::new(table.clone())), opt);
+            let (inputs, ctx) = (HashMap::new(), QueryCtx::new());
+            let mut exec = Exec::new(&engine, &inputs, &ctx);
+            let out = exec.run(&query).unwrap();
+            assert_eq!(out.visualizations.len(), 2 + 7, "{opt:?}");
+            assert_eq!(exec.distinct_scans, 1, "{opt:?}");
+        }
     }
 }

@@ -124,9 +124,10 @@ impl std::hash::Hash for Value {
                 1u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
+            // `-0.0` hashes as `0.0`: both equal `Int(0)`.
             Value::Float(f) => {
                 1u8.hash(state);
-                f.to_bits().hash(state);
+                (if *f == 0.0 { 0.0f64 } else { *f }).to_bits().hash(state);
             }
             Value::Str(s) => {
                 2u8.hash(state);
@@ -180,6 +181,20 @@ mod tests {
         assert_eq!(Value::Int(3), Value::Float(3.0));
         assert_ne!(Value::Int(3), Value::Float(3.5));
         assert_ne!(Value::Int(3), Value::str("3"));
+    }
+
+    #[test]
+    fn equal_values_hash_equal() {
+        use std::hash::BuildHasher;
+        let h = std::collections::hash_map::RandomState::new();
+        for (a, b) in [
+            (Value::Int(0), Value::Float(-0.0)),
+            (Value::Int(0), Value::Float(0.0)),
+            (Value::Int(7), Value::Float(7.0)),
+        ] {
+            assert_eq!(a, b);
+            assert_eq!(h.hash_one(&a), h.hash_one(&b), "{a:?} vs {b:?}");
+        }
     }
 
     #[test]
