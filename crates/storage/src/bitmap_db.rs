@@ -8,11 +8,12 @@
 //! low-cardinality integer columns (year, month, ...) because they appear
 //! as equality predicates in the canonical query.
 //!
-//! Table and indexes live together in one immutable `BitmapState`
-//! snapshot (shared via `Arc`), so they always describe the same data and
-//! queries scan lock-free. Appends copy-on-write the next snapshot
-//! (bumping the table version, which retires every cached result — see
-//! [`crate::cache`]) and refresh the indexes *incrementally*: appended
+//! Table and indexes live together in one immutable [`Bitmap`] state —
+//! the access path of the shared [`Engine`] shell — so they always
+//! describe the same data and queries scan lock-free. Appends
+//! copy-on-write the next state (bumping the table version, which
+//! retires every cached result — see [`crate::cache`]) and refresh the
+//! indexes *incrementally*: appended
 //! row ids are strictly ascending, so each new row is an O(1)
 //! `push_ascending` into its value bitmap; only an integer column whose
 //! value range grew out of its existing code space pays a full
@@ -25,71 +26,24 @@
 //! copies pointers, the open column tails, and the last container of
 //! each bitmap it writes to.
 
-use crate::cache::{CacheConfig, ResultCache};
 use crate::column::{Chunked, Coded, Column};
-use crate::db::{Database, EngineSnapshot};
-use crate::exec::{self, compile_pred, RowSource};
-use crate::lifecycle::QueryCtx;
-use crate::persist::{PersistOptions, Persistence};
+use crate::engine::{engine_config, AccessPath, Engine};
+use crate::exec::{compile_pred, RowSource};
 use crate::predicate::{Atom, CmpOp, Predicate};
-use crate::query::{ResultTable, SelectQuery};
 use crate::roaring::RoaringBitmap;
-use crate::stats::ExecStats;
 use crate::table::{StorageError, Table};
-use crate::value::Value;
 use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::sync::Arc;
 
-/// Tuning knobs for [`BitmapDb`].
-#[derive(Clone, Debug)]
-pub struct BitmapDbConfig {
-    /// Integer columns with at most this many distinct values also get
-    /// bitmap indexes.
-    pub int_index_max_card: usize,
-    /// Group-key spaces up to this size use dense accumulation; beyond it
-    /// the engine pays a hash lookup per row — the behaviour the paper
-    /// observed "as the number of groups increases" (Figure 7.5a).
-    pub dense_group_limit: u128,
-    /// Simulated client↔server round-trip latency added per request
-    /// (substitution for the paper's networked PostgreSQL; see DESIGN.md).
-    pub request_overhead: Duration,
-    /// Run-optimize indexes after build (RLE compression).
-    pub run_optimize: bool,
-    /// Parallel-scan tuning (thread count, serial threshold, scheduling
-    /// mode). The default consults the `ZV_SCHED_*` environment
-    /// overrides ([`exec::ParallelConfig::from_env`]) so CI can force a
-    /// scheduling configuration across whole test suites.
-    pub parallel: exec::ParallelConfig,
-    /// Engine-level result cache bounds ([`CacheConfig::disabled`] turns
-    /// the cache off, e.g. for raw-engine benchmarks).
-    pub cache: CacheConfig,
-}
+engine_config!(
+    /// Tuning knobs for [`BitmapDb`].
+    BitmapDbConfig,
+    dense_group_limit: 1 << 10
+);
 
-impl Default for BitmapDbConfig {
-    fn default() -> Self {
-        BitmapDbConfig {
-            int_index_max_card: 4096,
-            dense_group_limit: 1 << 10,
-            request_overhead: Duration::ZERO,
-            run_optimize: true,
-            parallel: exec::ParallelConfig::from_env(),
-            cache: CacheConfig::default(),
-        }
-    }
-}
-
-impl BitmapDbConfig {
-    /// Default config with the result cache off — for benchmarks and
-    /// tests that measure (or compare against) raw engine behaviour.
-    pub fn uncached() -> Self {
-        BitmapDbConfig {
-            cache: CacheConfig::disabled(),
-            ..Default::default()
-        }
-    }
-}
+/// Integer columns with at most this many distinct values also get
+/// bitmap indexes.
+const INT_INDEX_MAX_CARD: u128 = 4096;
 
 /// One indexed column: a bitmap of row ids per distinct-value code.
 #[derive(Clone)]
@@ -119,9 +73,10 @@ impl ColumnIndex {
     }
 }
 
-/// One consistent snapshot: the table plus the indexes built over it.
-#[derive(Clone)]
-struct BitmapState {
+/// The bitmap access path: one consistent snapshot of the table plus the
+/// indexes built over it. Selections resolve through bitmap algebra;
+/// atoms no index answers stay a per-row residual filter.
+pub struct Bitmap {
     table: Arc<Table>,
     indexes: HashMap<String, ColumnIndex>,
     /// Int columns whose value range already exceeded the cardinality
@@ -134,6 +89,7 @@ struct BitmapState {
 /// One bitmap of row ids per code (`code_of` maps a value to its code),
 /// built one 2^16-row container window at a time: the window's row ids
 /// are bucketed per code, and each nonempty bucket becomes one container.
+/// Every bitmap is then run-optimized (RLE where runs are smaller).
 fn build_bitmaps<T: Coded>(
     col: &Chunked<T>,
     codes: usize,
@@ -149,90 +105,45 @@ fn build_bitmaps<T: Coded>(
             bucket.clear();
         }
     }
+    for bm in &mut bitmaps {
+        bm.run_optimize();
+    }
     bitmaps
 }
 
-fn build_cat_index(c: &crate::column::CatColumn, run_optimize: bool) -> ColumnIndex {
-    let mut bitmaps = build_bitmaps(c.codes(), c.cardinality(), |code| code as usize);
-    if run_optimize {
-        for bm in &mut bitmaps {
-            bm.run_optimize();
-        }
-    }
+fn build_cat_index(c: &crate::column::CatColumn) -> ColumnIndex {
     ColumnIndex {
-        bitmaps,
+        bitmaps: build_bitmaps(c.codes(), c.cardinality(), |code| code as usize),
         int_min: 0,
         is_int: false,
     }
 }
 
-fn build_int_index(v: &crate::column::IntColumn, config: &BitmapDbConfig) -> Option<ColumnIndex> {
+fn build_int_index(v: &crate::column::IntColumn) -> Option<ColumnIndex> {
     // Chunk-stat fold: O(chunks + tail), not a full O(n) value scan.
     let (lo, hi) = v.minmax(0, v.len())?;
     // i128 arithmetic: the value range can exceed i64 (e.g. a sentinel
     // near i64::MAX next to negative values).
     let card = (hi as i128 - lo as i128 + 1) as u128;
-    if card > config.int_index_max_card as u128 {
+    if card > INT_INDEX_MAX_CARD {
         return None;
     }
-    let mut bitmaps = build_bitmaps(v, card as usize, |val| (val - lo) as usize);
-    if config.run_optimize {
-        for bm in &mut bitmaps {
-            bm.run_optimize();
-        }
-    }
     Some(ColumnIndex {
-        bitmaps,
+        bitmaps: build_bitmaps(v, card as usize, |val| (val - lo) as usize),
         int_min: lo,
         is_int: true,
     })
 }
 
-fn build_state(table: Arc<Table>, config: &BitmapDbConfig) -> BitmapState {
-    let mut indexes = HashMap::new();
-    let mut unindexable = HashSet::new();
-    for field in table.schema().fields() {
-        match table.column(&field.name).unwrap() {
-            Column::Cat(c) => {
-                indexes.insert(field.name.clone(), build_cat_index(c, config.run_optimize));
-            }
-            Column::Int(v) => match build_int_index(v, config) {
-                Some(ix) => {
-                    indexes.insert(field.name.clone(), ix);
-                }
-                // Empty columns may become indexable after an append;
-                // budget-exceeding ones never can (the range only grows).
-                None if !v.is_empty() => {
-                    unindexable.insert(field.name.clone());
-                }
-                None => {}
-            },
-            Column::Float(_) => {}
-        }
-    }
-    BitmapState {
-        table,
-        indexes,
-        unindexable,
-    }
-}
-
 /// Appends devolve run containers: re-compress each bitmap one batch
 /// touched, once, from the old tail's container key on.
-fn reoptimize(
-    bitmaps: &mut [RoaringBitmap],
-    touched: &[bool],
-    tail_key: u16,
-    config: &BitmapDbConfig,
-) {
-    if config.run_optimize {
-        for (bm, _) in bitmaps.iter_mut().zip(touched).filter(|(_, &t)| t) {
-            bm.run_optimize_from(tail_key);
-        }
+fn reoptimize(bitmaps: &mut [RoaringBitmap], touched: &[bool], tail_key: u16) {
+    for (bm, _) in bitmaps.iter_mut().zip(touched).filter(|(_, &t)| t) {
+        bm.run_optimize_from(tail_key);
     }
 }
 
-impl BitmapState {
+impl Bitmap {
     /// Bring the indexes up to date after rows `old_rows..` were appended
     /// to `self.table`. Appended row ids are ascending and larger than
     /// anything indexed, so the common case is an O(1) tail append per
@@ -245,7 +156,7 @@ impl BitmapState {
     /// was last written, so re-optimizing from that key on gives exactly
     /// the containers a whole-bitmap pass would — while leaving the
     /// containers shared with the previous snapshot untouched.
-    fn refresh_indexes(&mut self, old_rows: usize, config: &BitmapDbConfig) {
+    fn refresh_indexes(&mut self, old_rows: usize) {
         let tail_key = (old_rows >> 16) as u16;
         let table = &self.table;
         let indexes = &mut self.indexes;
@@ -265,7 +176,7 @@ impl BitmapState {
                         ix.bitmaps[code as usize].push_ascending(row as u32);
                         touched[code as usize] = true;
                     });
-                    reoptimize(&mut ix.bitmaps, &touched, tail_key, config);
+                    reoptimize(&mut ix.bitmaps, &touched, tail_key);
                 }
                 Column::Int(v) => {
                     if unindexable.contains(&field.name) {
@@ -292,14 +203,14 @@ impl BitmapState {
                                 ix.bitmaps[code].push_ascending(row as u32);
                                 touched[code] = true;
                             });
-                            reoptimize(&mut ix.bitmaps, &touched, tail_key, config);
+                            reoptimize(&mut ix.bitmaps, &touched, tail_key);
                             continue;
                         }
                         indexes.remove(&field.name);
                     }
                     // Out-of-range append, or the column only now became
                     // indexable (e.g. it was empty at build time).
-                    match build_int_index(v, config) {
+                    match build_int_index(v) {
                         Some(ix) => {
                             indexes.insert(field.name.clone(), ix);
                         }
@@ -381,6 +292,58 @@ impl BitmapState {
     fn all_rows(&self) -> RoaringBitmap {
         RoaringBitmap::from_sorted_iter(0..self.table.num_rows() as u32)
     }
+}
+
+impl AccessPath for Bitmap {
+    const NAME: &'static str = "roaring-bitmap-db";
+    type Config = BitmapDbConfig;
+
+    fn build(table: Arc<Table>) -> Self {
+        let mut indexes = HashMap::new();
+        let mut unindexable = HashSet::new();
+        for field in table.schema().fields() {
+            match table.column(&field.name).unwrap() {
+                Column::Cat(c) => {
+                    indexes.insert(field.name.clone(), build_cat_index(c));
+                }
+                Column::Int(v) => match build_int_index(v) {
+                    Some(ix) => {
+                        indexes.insert(field.name.clone(), ix);
+                    }
+                    // Empty columns may become indexable after an append;
+                    // budget-exceeding ones never can (the range only grows).
+                    None if !v.is_empty() => {
+                        unindexable.insert(field.name.clone());
+                    }
+                    None => {}
+                },
+                Column::Float(_) => {}
+            }
+        }
+        Bitmap {
+            table,
+            indexes,
+            unindexable,
+        }
+    }
+
+    fn table(&self) -> &Arc<Table> {
+        &self.table
+    }
+
+    /// Cost is O(delta + containers): the index clone copies container
+    /// pointers, and the refresh writes (and copies) only the last
+    /// container of each bitmap the batch touches. The old state keeps
+    /// every container it had.
+    fn refresh(&self, table: Arc<Table>, old_rows: usize) -> Self {
+        let mut next = Bitmap {
+            table,
+            indexes: self.indexes.clone(),
+            unindexable: self.unindexable.clone(),
+        };
+        next.refresh_indexes(old_rows);
+        next
+    }
 
     /// Build the row source: bitmap-resolved atoms ANDed, residual atoms
     /// left as a per-row filter.
@@ -446,139 +409,9 @@ impl BitmapState {
 }
 
 /// In-memory database with roaring-bitmap secondary indexes.
-///
-/// The snapshot lives behind `RwLock<Arc<BitmapState>>`: queries clone
-/// the `Arc` (a pointer bump) and scan lock-free, so a long scan never
-/// blocks an append and vice versa. Appends serialize on `append_lock`,
-/// build the next snapshot *outside* the reader-visible lock, and swap
-/// it in with a momentary write lock.
-pub struct BitmapDb {
-    state: RwLock<Arc<BitmapState>>,
-    /// Serializes mutations so two appends cannot base their snapshots
-    /// on the same predecessor (readers never touch this).
-    append_lock: Mutex<()>,
-    config: BitmapDbConfig,
-    /// Shared with pinned snapshots, so scan telemetry recorded during
-    /// snapshot execution lands on the engine's counters.
-    stats: Arc<ExecStats>,
-    cache: Option<Arc<ResultCache>>,
-    /// Durable-storage handle ([`BitmapDb::open_durable`]); `None` for
-    /// memory-only engines.
-    persist: Option<Arc<Persistence>>,
-}
+pub type BitmapDb = Engine<Bitmap>;
 
-impl BitmapDb {
-    pub fn new(table: Arc<Table>) -> Self {
-        Self::with_config(table, BitmapDbConfig::default())
-    }
-
-    pub fn with_config(table: Arc<Table>, config: BitmapDbConfig) -> Self {
-        let cache = config.cache.is_enabled().then(|| {
-            Arc::new(ResultCache::with_fault(
-                &config.cache,
-                config.parallel.fault,
-            ))
-        });
-        Self::build(table, config, cache)
-    }
-
-    /// Construct with an explicitly shared cache (versioned keys keep
-    /// entries from different engines / snapshots apart).
-    pub fn with_shared_cache(
-        table: Arc<Table>,
-        config: BitmapDbConfig,
-        cache: Arc<ResultCache>,
-    ) -> Self {
-        Self::build(table, config, Some(cache))
-    }
-
-    fn build(table: Arc<Table>, config: BitmapDbConfig, cache: Option<Arc<ResultCache>>) -> Self {
-        BitmapDb {
-            state: RwLock::new(Arc::new(build_state(table, &config))),
-            append_lock: Mutex::new(()),
-            config,
-            stats: Arc::new(ExecStats::new()),
-            cache,
-            persist: None,
-        }
-    }
-
-    /// Open a durable engine on `dir`: recover the newest valid
-    /// snapshot plus the WAL tail (crash-exact — see [`crate::persist`]),
-    /// or seed a fresh directory with `init()` and checkpoint it. Every
-    /// committed append is WAL-logged and fsynced *before* it becomes
-    /// visible to queries, so the in-memory table version is always a
-    /// durable version. Bitmap indexes are rebuilt from the recovered
-    /// table — they are derived state and never hit the disk.
-    pub fn open_durable(
-        dir: impl AsRef<Path>,
-        config: BitmapDbConfig,
-        init: impl FnOnce() -> Arc<Table>,
-    ) -> Result<Self, StorageError> {
-        let (persistence, recovered) = Persistence::open(
-            dir,
-            PersistOptions {
-                fault: config.parallel.fault,
-            },
-        )?;
-        let table = match recovered {
-            Some(t) => Arc::new(t),
-            None => {
-                let t = init();
-                persistence.checkpoint(&t)?;
-                t
-            }
-        };
-        let mut db = Self::with_config(table, config);
-        db.persist = Some(Arc::new(persistence));
-        Ok(db)
-    }
-
-    /// The durable-storage handle, when this engine was opened with
-    /// [`BitmapDb::open_durable`].
-    pub fn persistence(&self) -> Option<&Persistence> {
-        self.persist.as_deref()
-    }
-
-    /// Write a full snapshot of the current table and reset the WAL.
-    /// Serialized against appends, so no committed batch can be lost
-    /// between the snapshot and the WAL reset.
-    pub fn checkpoint(&self) -> Result<PathBuf, StorageError> {
-        let persist = self
-            .persist
-            .as_ref()
-            .ok_or_else(|| StorageError::Io("engine has no data directory".into()))?;
-        let _appending = crate::fault::lock_recover(&self.append_lock);
-        let table = self.state().table.clone();
-        persist.checkpoint(&table)
-    }
-
-    pub fn config(&self) -> &BitmapDbConfig {
-        &self.config
-    }
-
-    fn state(&self) -> Arc<BitmapState> {
-        // Recover-or-proceed: the lock only ever guards an `Arc` swap,
-        // so a poisoned lock still holds an intact snapshot (either the
-        // old or the new state) — unwrapping would wedge the engine
-        // after any contained panic.
-        crate::fault::read_recover(&self.state).clone()
-    }
-
-    /// Poison the state lock by panicking while holding its write
-    /// guard — the chaos suite's hook for proving the engine recovers
-    /// (the guarded value is a plain `Arc`, so recovery is safe).
-    #[doc(hidden)]
-    pub fn poison_table_lock_for_chaos(&self) {
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = self.state.write().unwrap_or_else(|p| p.into_inner());
-            panic!(
-                "{} deliberate state-lock poisoning",
-                crate::fault::PANIC_MARKER
-            );
-        }));
-    }
-
+impl Engine<Bitmap> {
     /// Total bytes held by bitmap indexes (compression reporting).
     pub fn index_bytes(&self) -> usize {
         self.state()
@@ -604,183 +437,14 @@ impl BitmapDb {
         let ix = state.indexes.get(col)?;
         Some((ix.int_min, ix.bitmaps.clone()))
     }
-
-    /// Swap in a mutated table built by `mutate` and refresh the indexes
-    /// incrementally; returns the appended row count. The table clone and
-    /// index refresh run outside the reader-visible lock — queries keep
-    /// scanning the old snapshot throughout.
-    ///
-    /// Cost is O(delta + chunks + containers): the table clone copies
-    /// sealed-chunk pointers plus each column's open tail, the index
-    /// clone copies container pointers, and the refresh writes (and
-    /// copies) only the last container of each bitmap the batch touches.
-    /// The old snapshot keeps every chunk and container it had.
-    fn mutate_table(
-        &self,
-        mutate: impl FnOnce(&mut Table) -> Result<usize, StorageError>,
-        log: impl FnOnce(&Persistence, &Table) -> Result<(), StorageError>,
-    ) -> Result<usize, StorageError> {
-        let _appending = crate::fault::lock_recover(&self.append_lock);
-        let current = self.state();
-        let mut table = (*current.table).clone();
-        let old_version = table.version();
-        let old_rows = table.num_rows();
-        let n = mutate(&mut table)?;
-        if n == 0 && table.version() == old_version {
-            return Ok(0);
-        }
-        // Durability before visibility: the batch must reach the WAL
-        // (fsynced, encoded straight from the caller's borrowed batch)
-        // before any reader can observe the new snapshot.
-        if let Some(persist) = &self.persist {
-            log(persist, &table)?;
-        }
-        let mut next = BitmapState {
-            table: Arc::new(table),
-            indexes: current.indexes.clone(),
-            unindexable: current.unindexable.clone(),
-        };
-        next.refresh_indexes(old_rows, &self.config);
-        *crate::fault::write_recover(&self.state) = Arc::new(next);
-        // The old version's cache entries are deliberately *kept*: they
-        // are unreachable for exact lookups (versioned keys) but serve
-        // as IVM merge ancestors for post-append queries; the LRU
-        // reclaims them once the workload moves on.
-        Ok(n)
-    }
-}
-
-/// A pinned [`BitmapDb`] view: one immutable [`BitmapState`] (table +
-/// the indexes built over exactly that table) plus the execution tuning
-/// frozen at pin time.
-struct BitmapSnapshot {
-    state: Arc<BitmapState>,
-    dense_group_limit: u128,
-    parallel: exec::ParallelConfig,
-    stats: Arc<ExecStats>,
-}
-
-impl EngineSnapshot for BitmapSnapshot {
-    fn table(&self) -> &Arc<Table> {
-        &self.state.table
-    }
-
-    fn execute(
-        &self,
-        query: &SelectQuery,
-        ctx: &QueryCtx,
-    ) -> Result<(ResultTable, u64), StorageError> {
-        let state = &self.state;
-        let source = state.row_source(&query.predicate)?;
-        let groups = exec::group_space(&state.table, query)?;
-        let strategy = exec::choose_strategy(groups, self.dense_group_limit);
-        // A degraded query (`QueryCtx::force_serial`, set by the retry
-        // ladder or the breaker) is pinned to the injection-free serial
-        // path no matter what the config would choose.
-        let threads = if ctx.serial_only() {
-            1
-        } else {
-            self.parallel.threads_for(source.estimated_rows())
-        };
-        exec::run_scheduled(
-            &state.table,
-            query,
-            &source,
-            strategy,
-            threads,
-            &self.parallel,
-            &self.stats,
-            ctx,
-        )
-    }
-
-    fn execute_range(
-        &self,
-        query: &SelectQuery,
-        ctx: &QueryCtx,
-        start: usize,
-        end: usize,
-    ) -> Result<(ResultTable, u64), StorageError> {
-        // A bounded delta range doesn't profit from bitmap algebra (the
-        // index covers the whole table, not the tail); compile the
-        // predicate as a residual filter like the scan engine does.
-        let table = &self.state.table;
-        debug_assert!(start <= end && end <= table.num_rows());
-        let pred = if query.predicate.is_true() {
-            None
-        } else {
-            Some(compile_pred(table, &query.predicate)?)
-        };
-        let source = RowSource::Range { start, end, pred };
-        let groups = exec::group_space_over(table, query, Some((start, end)))?;
-        let strategy = exec::choose_strategy(groups, self.dense_group_limit);
-        let threads = if ctx.serial_only() {
-            1
-        } else {
-            self.parallel.threads_for(source.estimated_rows())
-        };
-        exec::run_scheduled(
-            table,
-            query,
-            &source,
-            strategy,
-            threads,
-            &self.parallel,
-            &self.stats,
-            ctx,
-        )
-    }
-}
-
-impl Database for BitmapDb {
-    fn name(&self) -> &'static str {
-        "roaring-bitmap-db"
-    }
-
-    fn pin(&self) -> Arc<dyn EngineSnapshot> {
-        Arc::new(BitmapSnapshot {
-            state: self.state(),
-            dense_group_limit: self.config.dense_group_limit,
-            parallel: self.config.parallel,
-            stats: Arc::clone(&self.stats),
-        })
-    }
-
-    fn table(&self) -> Arc<Table> {
-        self.state().table.clone()
-    }
-
-    fn stats(&self) -> &ExecStats {
-        &self.stats
-    }
-
-    fn result_cache(&self) -> Option<&ResultCache> {
-        self.cache.as_deref()
-    }
-
-    fn append_rows(&self, rows: &[Vec<Value>]) -> Result<usize, StorageError> {
-        self.mutate_table(
-            |t| t.append_rows(rows),
-            |p, t| p.log_append(t.version(), t.schema(), rows),
-        )
-    }
-
-    fn append_table(&self, other: &Table) -> Result<usize, StorageError> {
-        self.mutate_table(
-            |t| t.append_table(other),
-            |p, t| p.log_append_table(t.version(), other),
-        )
-    }
-
-    fn request_overhead(&self) -> Duration {
-        self.config.request_overhead
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{XSpec, YSpec};
+    use crate::cache::CacheConfig;
+    use crate::db::Database;
+    use crate::query::{SelectQuery, XSpec, YSpec};
     use crate::table::{Field, Schema, TableBuilder};
     use crate::value::{DataType, Value};
 
@@ -1035,19 +699,5 @@ mod tests {
         .unwrap();
         let rt = db.execute(&q).unwrap();
         assert_eq!(rt.groups[0].ys[0], vec![31.0, 11.0]);
-    }
-
-    #[test]
-    fn empty_append_is_a_version_preserving_noop() {
-        let db = db();
-        let v0 = db.table().version();
-        let q = SelectQuery::new(XSpec::raw("year"), vec![YSpec::sum("sales")]);
-        let _ = db.run_request(std::slice::from_ref(&q)).unwrap();
-        assert_eq!(db.append_rows(&[]).unwrap(), 0);
-        assert_eq!(db.table().version(), v0);
-        let before = db.stats().snapshot();
-        let _ = db.run_request(std::slice::from_ref(&q)).unwrap();
-        let delta = db.stats().snapshot().since(&before);
-        assert_eq!(delta.cache_hits, 1, "cache must survive a no-op append");
     }
 }

@@ -27,8 +27,8 @@
 //!       │                 Hash   → entry-API slot lookup (one probe),
 //!       │                          per-chunk capacity reservation
 //!       │
-//!       ├─ morsels:       `aggregate_morsel` (the default, see
-//!       │                 [`SchedulingMode`]) carves the source into
+//!       ├─ morsels:       [`aggregate_morsel`] (the one parallel
+//!       │                 scheduler) carves the source into
 //!       │                 fixed-size, chunk-aligned morsels of
 //!       │                 [`MORSEL_ROWS`] rows (row ranges, or slices of
 //!       │                 the materialized bitmap); workers *claim*
@@ -55,13 +55,6 @@
 //!                         assert on dyadic data).
 //! ```
 //!
-//! [`SchedulingMode::Static`] keeps the previous behaviour —
-//! `aggregate_parallel` splits the source into one contiguous shard per
-//! worker, merged in worker order. It is retained as a comparison
-//! baseline (benchmarks, the CI scheduling matrix) and as a fallback
-//! knob; its float rounding is reproducible only for a *fixed* thread
-//! count, whereas the morsel merge is thread-count-independent.
-//!
 //! # The ctx → claim → cancel pipeline
 //!
 //! Every scan carries a [`QueryCtx`] — the
@@ -77,9 +70,9 @@
 //!   morsels are never scanned, and the count of abandoned morsels flows
 //!   into `ExecStats::morsels_cancelled`. With the default morsel size a
 //!   cancel is observed within ~16 K rows of scan work per worker.
-//! * **serial and static-shard scans** — checked between chunks
-//!   ([`CHUNK_ROWS`] visited rows), so even a one-thread scan abandons
-//!   work promptly.
+//! * **serial scans** — checked between chunks ([`CHUNK_ROWS`] visited
+//!   rows), so even a one-thread scan abandons work promptly; inside a
+//!   claimed morsel the same between-chunk check applies.
 //!
 //! A cancelled scan returns
 //! [`StorageError::Cancelled`](crate::table::StorageError)
@@ -102,23 +95,21 @@
 //!
 //! Cancellation is the *cooperative* way a scan ends early; panics are
 //! the uncooperative one, and an always-on interactive engine must
-//! survive both. Every parallel worker closure (morsel and static) runs
-//! inside `catch_unwind`:
+//! survive both. Every morsel scan a parallel worker runs is wrapped in
+//! `catch_unwind`:
 //!
 //! 1. **Contain** — a panicking worker (organic bug or injected by the
-//!    [`crate::fault`] harness) is caught at the worker boundary. Under
-//!    morsel scheduling it trips a shared abort flag, so siblings stop
-//!    claiming at their next claim point exactly as they would for
-//!    cancellation; under static sharding siblings simply finish their
-//!    own shard. The thread pool never sees the unwind and stays
-//!    healthy.
+//!    [`crate::fault`] harness) is caught at the worker boundary. It
+//!    trips a shared abort flag, so siblings stop claiming at their next
+//!    claim point exactly as they would for cancellation. The thread
+//!    pool never sees the unwind and stays healthy.
 //! 2. **Fail cleanly** — the panicked worker's partial accumulator is
 //!    dropped on the worker; nothing partial reaches the merge, the
 //!    caller, or the result cache (`run_request_ctx` inserts only
 //!    completed results — same guarantee cancellation relies on). The
 //!    scan surfaces
 //!    [`StorageError::WorkerPanicked`](crate::table::StorageError) with
-//!    the lowest panicked morsel/shard attributed, and the engine's
+//!    the lowest panicked morsel attributed, and the engine's
 //!    [`ExecStats`](crate::stats::ExecStats) records one
 //!    `worker_panics`.
 //! 3. **Retry / degrade** — `WorkerPanicked` (and `ResourceExhausted`)
@@ -143,28 +134,27 @@
 //! # OptLevel × scheduling matrix
 //!
 //! The §5.2 batching ladder composes with this engine's parallelism along
-//! two orthogonal axes — *where queries batch* and *where threads work* —
-//! and within a query the [`SchedulingMode`] picks how row work is dealt:
+//! two orthogonal axes — *where queries batch* and *where threads work*:
 //!
 //! | OptLevel    | requests          | intra-query threads   | inter-query threads |
 //! |-------------|-------------------|-----------------------|---------------------|
-//! | `NoOpt`     | 1 per viz         | morsel / static scan  | — (1 query/request) |
-//! | `IntraLine` | 1 per row         | morsel / static scan  | across the batch    |
-//! | `IntraTask` | 1 per task prefix | morsel / static scan  | across the batch    |
-//! | `InterTask` | fewest (lookahead)| morsel / static scan  | across the batch    |
+//! | `NoOpt`     | 1 per viz         | morsel scan           | — (1 query/request) |
+//! | `IntraLine` | 1 per row         | morsel scan           | across the batch    |
+//! | `IntraTask` | 1 per task prefix | morsel scan           | across the batch    |
+//! | `InterTask` | fewest (lookahead)| morsel scan           | across the batch    |
 //!
 //! Inter-query fan-out happens in `Database::run_request`; intra-query
 //! fan-out here. The pool's nesting guard ([`crate::parallel`]) ensures
 //! whichever layer fans out first gets the hardware: multi-query requests
 //! parallelize across queries (each query scanning serially), single-query
-//! requests parallelize across row morsels (or static shards).
+//! requests parallelize across row morsels.
 //!
-//! The scheduling knob lives on [`ParallelConfig`] and can be forced
+//! The scheduling knobs live on [`ParallelConfig`] and can be forced
 //! process-wide through the environment ([`ParallelConfig::from_env`],
 //! `ZV_SCHED_MODE` / `ZV_SCHED_THREADS` / `ZV_SCHED_MIN_ROWS`) — CI's
-//! scheduling matrix runs
-//! the equivalence suites under `serial`, `static`, and `morsel` so a
-//! scheduling bug cannot hide behind the default configuration.
+//! scheduling matrix runs the equivalence suites under `serial` and
+//! `morsel` so a scheduling bug cannot hide behind the default
+//! configuration.
 
 use crate::column::{
     packed_delta, Chunked, CodeColumn, Coded, Column, FloatColumn, IntColumn, SegRef,
@@ -1430,47 +1420,27 @@ pub enum GroupStrategy {
     Hash,
 }
 
-/// How row work is dealt to the workers of one parallel aggregation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedulingMode {
-    /// One contiguous shard per worker, fixed up front
-    /// ([`aggregate_parallel`]). Reproducible for a fixed thread count;
-    /// under skewed predicates a worker can finish early and idle.
-    Static,
-    /// Workers claim fixed-size chunk-aligned morsels off a shared atomic
-    /// cursor ([`aggregate_morsel`]); partials are merged in morsel-index
-    /// order, so results are reproducible across runs *and* across all
-    /// parallel (≥ 2 worker) thread counts — a one-worker run degrades
-    /// to the serial row-order reduction, which can differ in the last
-    /// ulp on inexact measures. The default.
-    #[default]
-    Morsel,
-}
-
 /// Tuning for the parallel scan. Shared by both engines' configs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker threads for a single aggregation; `0` = all hardware
     /// threads.
     pub threads: usize,
-    /// Sources expected to visit fewer rows than this stay serial: shard
+    /// Sources expected to visit fewer rows than this stay serial: worker
     /// setup + merge costs a few tens of microseconds, which only pays
     /// for itself on bulk scans.
     pub min_parallel_rows: usize,
-    /// How row work is distributed once a scan goes parallel.
-    pub sched: SchedulingMode,
-    /// Rows per morsel under [`SchedulingMode::Morsel`]. The default
+    /// Rows per morsel ([`aggregate_morsel`]). The default
     /// ([`MORSEL_ROWS`]) is the production sweet spot; tests and the CI
     /// scheduling matrix shrink it so small tables still split into
     /// many claimable units.
     pub morsel_rows: usize,
-    /// Morsels a worker claims per cursor hit under
-    /// [`SchedulingMode::Morsel`] (default 1). Raising it cuts atomic
-    /// cursor traffic when morsels are nearly free to scan (highly
-    /// selective predicates) at the cost of coarser load balancing and
-    /// cancellation granularity. Partials stay tagged per *morsel*, so
-    /// the ordered merge — and bit-for-bit reproducibility — does not
-    /// depend on the batch size.
+    /// Morsels a worker claims per cursor hit (default 1). Raising it
+    /// cuts atomic cursor traffic when morsels are nearly free to scan
+    /// (highly selective predicates) at the cost of coarser load
+    /// balancing and cancellation granularity. Partials stay tagged per
+    /// *morsel*, so the ordered merge — and bit-for-bit reproducibility
+    /// — does not depend on the batch size.
     pub claim_batch: usize,
     /// Deterministic fault injection for the parallel scan and the
     /// result cache ([`crate::fault`]). Disabled by default (a single
@@ -1485,7 +1455,6 @@ impl Default for ParallelConfig {
         ParallelConfig {
             threads: 0,
             min_parallel_rows: 1 << 16,
-            sched: SchedulingMode::Morsel,
             morsel_rows: MORSEL_ROWS,
             claim_batch: 1,
             fault: crate::fault::FaultSpec::disabled(),
@@ -1507,11 +1476,11 @@ impl ParallelConfig {
     /// both engines' default configs use, so CI (and operators) can force
     /// a scheduling configuration without touching code:
     ///
-    /// * `ZV_SCHED_MODE` ∈ {`serial`, `static`, `morsel`} — `serial`
-    ///   pins the scan to one thread; `static`/`morsel` select the
-    ///   parallel scheduler (only — the serial gate below is a separate
-    ///   knob, so pinning a scheduler never changes *when* scans go
-    ///   parallel).
+    /// * `ZV_SCHED_MODE` ∈ {`serial`, `morsel`} — `serial` pins the scan
+    ///   to one thread; `morsel` keeps the (default) morsel scheduler and
+    ///   changes nothing else — the serial gate below is a separate
+    ///   knob, so naming the scheduler never changes *when* scans go
+    ///   parallel.
     /// * `ZV_SCHED_THREADS=N` — explicit worker count (overrides auto).
     /// * `ZV_SCHED_MIN_ROWS=N` — the `min_parallel_rows` serial gate.
     ///   CI's scheduling matrix sets `0` so even tiny test tables
@@ -1560,11 +1529,10 @@ impl ParallelConfig {
                     cfg.threads = 1;
                     cfg.min_parallel_rows = usize::MAX;
                 }
-                "static" => cfg.sched = SchedulingMode::Static,
-                "morsel" => cfg.sched = SchedulingMode::Morsel,
-                other => panic!(
-                    "ZV_SCHED_MODE={other:?} not recognized (expected serial, static, or morsel)"
-                ),
+                "morsel" => {}
+                other => {
+                    panic!("ZV_SCHED_MODE={other:?} not recognized (expected serial or morsel)")
+                }
             }
         }
         if let Some(t) = unset(threads) {
@@ -1628,11 +1596,6 @@ impl Accumulators {
         }
     }
 
-    #[inline]
-    fn n_slots(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Drop every slot but keep the allocations (growable accumulators
     /// reused morsel-to-morsel).
     #[inline]
@@ -1688,9 +1651,10 @@ impl Accumulators {
         }
     }
 
-    /// Fold another partial's slot into one of ours (the shard-merge
-    /// step). Exact for counts and min/max; float sums merge in worker
-    /// order, so a fixed shard split keeps results reproducible.
+    /// Fold another partial's slot into one of ours (morsel compaction
+    /// and the ordered merge). Exact for counts and min/max; float sums
+    /// merge in the caller's order, so a fixed order keeps results
+    /// reproducible.
     #[inline]
     fn merge_slot(&mut self, slot: usize, other: &Accumulators, other_slot: usize) {
         debug_assert_eq!(self.n_ys, other.n_ys);
@@ -1799,8 +1763,8 @@ fn build_plan<'a>(
     })
 }
 
-/// One worker's (or the serial scan's) accumulation state: reusable
-/// code and measure buffers plus strategy-specific slot storage.
+/// The serial scan's accumulation state: reusable code and measure
+/// buffers plus strategy-specific slot storage.
 struct ChunkAccumulator<'p, 'a> {
     plan: &'p GroupPlan<'a>,
     strategy: GroupStrategy,
@@ -1944,10 +1908,10 @@ pub fn aggregate_ctx(
     Ok((finalize_result(query, &plan, &acc, &occupied), scanned))
 }
 
-/// A row source lowered to a unit-addressable form the schedulers can
-/// split: range sources keep their row interval, bitmap sources
+/// A row source lowered to a unit-addressable form the morsel scheduler
+/// can split: range sources keep their row interval, bitmap sources
 /// materialize their ids once and split the id array.
-enum ShardInput<'s, 'a> {
+enum MorselInput<'s, 'a> {
     Rows {
         /// First physical row of the interval; unit `u` maps to row
         /// `base + u` (non-zero only for [`RowSource::Range`]).
@@ -1961,28 +1925,28 @@ enum ShardInput<'s, 'a> {
     },
 }
 
-impl<'s, 'a> ShardInput<'s, 'a> {
+impl<'s, 'a> MorselInput<'s, 'a> {
     fn of(source: &'s RowSource<'a>) -> Self {
         match source {
-            RowSource::All(n) => ShardInput::Rows {
+            RowSource::All(n) => MorselInput::Rows {
                 base: 0,
                 n: *n,
                 pred: None,
             },
-            RowSource::Filtered { n_rows, pred } => ShardInput::Rows {
+            RowSource::Filtered { n_rows, pred } => MorselInput::Rows {
                 base: 0,
                 n: *n_rows,
                 pred: Some(pred),
             },
-            RowSource::Bitmap(bm) => ShardInput::Ids {
+            RowSource::Bitmap(bm) => MorselInput::Ids {
                 ids: bm.to_vec(),
                 pred: None,
             },
-            RowSource::BitmapFiltered { rows, pred } => ShardInput::Ids {
+            RowSource::BitmapFiltered { rows, pred } => MorselInput::Ids {
                 ids: rows.to_vec(),
                 pred: Some(pred),
             },
-            RowSource::Range { start, end, pred } => ShardInput::Rows {
+            RowSource::Range { start, end, pred } => MorselInput::Rows {
                 base: *start,
                 n: *end - *start,
                 pred: pred.as_ref(),
@@ -1992,8 +1956,8 @@ impl<'s, 'a> ShardInput<'s, 'a> {
 
     fn n_units(&self) -> usize {
         match self {
-            ShardInput::Rows { n, .. } => *n,
-            ShardInput::Ids { ids, .. } => ids.len(),
+            MorselInput::Rows { n, .. } => *n,
+            MorselInput::Ids { ids, .. } => ids.len(),
         }
     }
 
@@ -2008,234 +1972,10 @@ impl<'s, 'a> ShardInput<'s, 'a> {
         f: F,
     ) -> (u64, bool) {
         match self {
-            ShardInput::Rows { base, pred, .. } => {
+            MorselInput::Rows { base, pred, .. } => {
                 scan_range_ctx(base + start, base + end, *pred, ctx, f)
             }
-            ShardInput::Ids { ids, pred } => scan_ids_ctx(&ids[start..end], *pred, ctx, f),
-        }
-    }
-}
-
-/// Statically sharded variant of [`aggregate`]: splits the source into
-/// contiguous per-worker shards, accumulates per-worker partials on the
-/// shared pool, and merges them (Dense by slot, Hash by composite code)
-/// before the common finalize. `threads == 0` means auto. Produces the
-/// same `ResultTable` and scanned count as the serial path — bit-for-bit
-/// when measure sums are exactly representable, and within float merge
-/// rounding otherwise. Kept as the [`SchedulingMode::Static`] baseline;
-/// the default scheduler is [`aggregate_morsel`].
-pub fn aggregate_parallel(
-    table: &Table,
-    query: &SelectQuery,
-    source: &RowSource<'_>,
-    strategy: GroupStrategy,
-    threads: usize,
-) -> Result<(ResultTable, u64), StorageError> {
-    aggregate_parallel_ctx(table, query, source, strategy, threads, &QueryCtx::new())
-}
-
-/// Cancellable [`aggregate_parallel`]: each shard's scan checks `ctx`
-/// between chunks; a cancelled scan abandons its remaining shards and
-/// returns [`StorageError::Cancelled`] without merging any partials.
-pub fn aggregate_parallel_ctx(
-    table: &Table,
-    query: &SelectQuery,
-    source: &RowSource<'_>,
-    strategy: GroupStrategy,
-    threads: usize,
-    ctx: &QueryCtx,
-) -> Result<(ResultTable, u64), StorageError> {
-    static_run(
-        table,
-        query,
-        source,
-        strategy,
-        threads,
-        crate::fault::FaultSpec::disabled(),
-        None,
-        ctx,
-    )
-}
-
-/// Shared implementation behind the static-shard entry points. Worker
-/// closures run inside `catch_unwind`: a panicking shard (organic or
-/// injected via `fault`) is contained, its partial is dropped, and the
-/// scan surfaces [`StorageError::WorkerPanicked`] — siblings finish
-/// their own shard (static sharding has no claim loop to abort), the
-/// pool stays healthy, and nothing reaches the merge or the cache.
-#[allow(clippy::too_many_arguments)]
-fn static_run(
-    table: &Table,
-    query: &SelectQuery,
-    source: &RowSource<'_>,
-    strategy: GroupStrategy,
-    threads: usize,
-    fault: crate::fault::FaultSpec,
-    stats: Option<&crate::stats::ExecStats>,
-    ctx: &QueryCtx,
-) -> Result<(ResultTable, u64), StorageError> {
-    let plan = build_plan(table, query, source.stat_rows())?;
-    ctx.check()?;
-    let mut workers = parallel::effective_threads(threads);
-    if strategy == GroupStrategy::Dense {
-        // Each dense worker owns `total` slots; shed workers before
-        // exhausting memory on very wide key spaces.
-        let cap = (DENSE_PARALLEL_SLOT_BUDGET / plan.total.max(1)).max(1) as usize;
-        workers = workers.min(cap);
-    }
-
-    // `estimated_rows` equals the unit count of every source shape, so
-    // the serial fallback is decided *before* a bitmap source pays the
-    // cost of materializing its id array.
-    let n_units = source.estimated_rows();
-    workers = workers.min(n_units.max(1));
-    if workers <= 1 {
-        // The serial path is the degrade refuge: no fan-out, no
-        // injection points.
-        let mut acc = ChunkAccumulator::new(&plan, strategy);
-        let (scanned, completed) = source.for_each_chunk_ctx(ctx, |rows| acc.consume(rows));
-        if !completed || ctx.is_cancelled() {
-            return Err(StorageError::Cancelled);
-        }
-        let (acc, occupied) = acc.into_parts();
-        return Ok((finalize_result(query, &plan, &acc, &occupied), scanned));
-    }
-    let input = ShardInput::of(source);
-    debug_assert_eq!(input.n_units(), n_units);
-    let shards = parallel::split_ranges(n_units, workers);
-    let epoch = ctx.fault_epoch();
-    if fault.fires(
-        crate::fault::FaultPoint::WorkerSpawn,
-        shards.len() as u64,
-        epoch,
-    ) {
-        return Err(StorageError::ResourceExhausted(format!(
-            "injected worker-spawn failure ({} shards)",
-            shards.len()
-        )));
-    }
-
-    type ShardOut = Result<(ChunkAccumulatorParts, u64), (u64, String)>;
-    let partials: Vec<ShardOut> = parallel::run_workers(shards.len(), |w| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if fault.fires(crate::fault::FaultPoint::MorselDelay, w as u64, epoch) {
-                fault.delay();
-            }
-            if fault.fires(crate::fault::FaultPoint::ChunkScanPanic, w as u64, epoch) {
-                crate::fault::injected_panic(w as u64);
-            }
-            let (start, end) = shards[w];
-            let mut acc = ChunkAccumulator::new(&plan, strategy);
-            let (visited, _completed) = input.scan_ctx(start, end, ctx, |rows| acc.consume(rows));
-            (
-                ChunkAccumulatorParts {
-                    acc: acc.acc,
-                    slot_of: acc.slot_of,
-                },
-                visited,
-            )
-        }))
-        .map_err(|payload| {
-            (
-                w as u64,
-                crate::fault::panic_payload_string(payload.as_ref()),
-            )
-        })
-    });
-
-    if ctx.is_cancelled() {
-        return Err(StorageError::Cancelled);
-    }
-    if let Some((morsel, payload)) = partials
-        .iter()
-        .filter_map(|r| r.as_ref().err())
-        .min_by_key(|(w, _)| *w)
-    {
-        // Panicked shards drop their partials on the worker; the whole
-        // scan fails cleanly with the lowest failing shard attributed.
-        if let Some(s) = stats {
-            s.record_worker_panic();
-        }
-        return Err(StorageError::WorkerPanicked {
-            payload: payload.clone(),
-            morsel: *morsel,
-        });
-    }
-    let ok = partials.into_iter().map(|r| match r {
-        Ok(p) => p,
-        Err(_) => unreachable!("panicked shards returned above"),
-    });
-    let (parts, visits): (Vec<_>, Vec<u64>) = ok.unzip();
-    let scanned: u64 = visits.iter().sum();
-    let (acc, occupied) = merge_partials(&plan, strategy, parts.into_iter());
-    Ok((finalize_result(query, &plan, &acc, &occupied), scanned))
-}
-
-/// A worker's raw partial state, sent back for merging.
-struct ChunkAccumulatorParts {
-    acc: Accumulators,
-    slot_of: HashMap<u64, u32>,
-}
-
-/// Merge per-worker partials in worker order: Dense by slot index, Hash
-/// by composite code (the global slot table grows in first-seen order,
-/// then finalize sorts by code as usual).
-fn merge_partials(
-    plan: &GroupPlan<'_>,
-    strategy: GroupStrategy,
-    partials: impl Iterator<Item = ChunkAccumulatorParts>,
-) -> (DenseOrHash, Vec<u64>) {
-    let n_ys = plan.ys.len().max(1);
-    match strategy {
-        GroupStrategy::Dense => {
-            let mut global: Option<Accumulators> = None;
-            for part in partials {
-                match &mut global {
-                    None => global = Some(part.acc),
-                    Some(g) => {
-                        for slot in 0..part.acc.n_slots() {
-                            if part.acc.counts[slot] > 0 {
-                                g.merge_slot(slot, &part.acc, slot);
-                            }
-                        }
-                    }
-                }
-            }
-            let g = global
-                .unwrap_or_else(|| Accumulators::new(plan.total as usize, n_ys, plan.need_minmax));
-            let occupied = (0..plan.total)
-                .filter(|&code| g.counts[code as usize] > 0)
-                .collect();
-            (DenseOrHash::Dense(g), occupied)
-        }
-        GroupStrategy::Hash => {
-            let mut g = Accumulators::new(0, n_ys, plan.need_minmax);
-            let mut slot_of: HashMap<u64, u32> = HashMap::new();
-            for part in partials {
-                // Deterministic iteration: visit this partial's codes in
-                // ascending order so global slot assignment (and float
-                // merge order) does not depend on HashMap iteration.
-                let mut pairs: Vec<(u64, u32)> = part.slot_of.into_iter().collect();
-                pairs.sort_unstable();
-                slot_of.reserve(pairs.len());
-                g.reserve(pairs.len());
-                for (code, local_slot) in pairs {
-                    let slot = match slot_of.entry(code) {
-                        Entry::Occupied(e) => *e.get() as usize,
-                        Entry::Vacant(e) => {
-                            let s = g.grow_one();
-                            e.insert(s as u32);
-                            s
-                        }
-                    };
-                    g.merge_slot(slot, &part.acc, local_slot as usize);
-                }
-            }
-            let mut pairs: Vec<(u64, u32)> = slot_of.into_iter().collect();
-            pairs.sort_unstable();
-            let slots: Vec<u32> = pairs.iter().map(|&(_, s)| s).collect();
-            let occupied = pairs.into_iter().map(|(c, _)| c).collect();
-            (DenseOrHash::Hash(g, slots), occupied)
+            MorselInput::Ids { ids, pred } => scan_ids_ctx(&ids[start..end], *pred, ctx, f),
         }
     }
 }
@@ -2438,19 +2178,17 @@ fn merge_morsel_partials(
     }
 }
 
-/// Morsel-scheduled variant of [`aggregate`] — the default parallel path
-/// ([`SchedulingMode::Morsel`]). Workers pull fixed-size, chunk-aligned
-/// morsels off a shared atomic cursor, so a skew-heavy region of the
-/// table is absorbed by whichever workers are free instead of stranding
-/// one static shard; per-morsel partials are compacted, tagged by morsel
-/// index, and merged in index order, so the result (including float
-/// rounding) is reproducible across runs and across parallel (≥ 2
-/// worker) thread counts — one worker degrades to the serial row-order
-/// reduction — and identical to the serial path whenever measure sums
-/// are exactly representable. `threads == 0` means auto. Returns the
-/// ordered result,
-/// rows visited, and claim telemetry (`None` when the scan degenerated
-/// to serial).
+/// Morsel-scheduled variant of [`aggregate`] — the parallel path. Workers
+/// pull fixed-size, chunk-aligned morsels off a shared atomic cursor, so
+/// a skew-heavy region of the table is absorbed by whichever workers are
+/// free instead of stranding one fixed split; per-morsel partials are
+/// compacted, tagged by morsel index, and merged in index order, so the
+/// result (including float rounding) is reproducible across runs and
+/// across parallel (≥ 2 worker) thread counts — one worker degrades to
+/// the serial row-order reduction — and identical to the serial path
+/// whenever measure sums are exactly representable. `threads == 0`
+/// means auto. Returns the ordered result, rows visited, and claim
+/// telemetry (`None` when the scan degenerated to serial).
 pub fn aggregate_morsel(
     table: &Table,
     query: &SelectQuery,
@@ -2559,19 +2297,12 @@ fn morsel_run(
     let n_morsels = n_units.div_ceil(morsel_rows);
     workers = workers.min(n_morsels.max(1));
     if workers <= 1 {
-        let mut acc = ChunkAccumulator::new(&plan, strategy);
-        let (scanned, completed) = source.for_each_chunk_ctx(ctx, |rows| acc.consume(rows));
-        if !completed || ctx.is_cancelled() {
-            return Err(StorageError::Cancelled);
-        }
-        let (acc, occupied) = acc.into_parts();
-        return Ok((
-            finalize_result(query, &plan, &acc, &occupied),
-            scanned,
-            None,
-        ));
+        // The serial path is the degrade refuge: no fan-out, no
+        // injection points.
+        let (rt, scanned) = aggregate_ctx(table, query, source, strategy, ctx)?;
+        return Ok((rt, scanned, None));
     }
-    let input = ShardInput::of(source);
+    let input = MorselInput::of(source);
     debug_assert_eq!(input.n_units(), n_units);
     let epoch = ctx.fault_epoch();
     if fault.fires(
@@ -2700,12 +2431,12 @@ fn morsel_run(
     ))
 }
 
-/// Engine-facing dispatcher: run the aggregation with `threads` workers
-/// under `cfg.sched` (serial when `threads <= 1`), recording morsel
-/// claim telemetry into `stats` and observing `ctx` at each scheduler's
-/// cancellation point (between chunks for serial/static, between claims
-/// for morsel). Both engines' pinned snapshots route their scans through
-/// here.
+/// Engine-facing dispatcher: run the aggregation serially when
+/// `threads <= 1`, else morsel-scheduled on `threads` workers with
+/// `cfg`'s morsel size, claim batch and fault spec, recording morsel
+/// claim telemetry into `stats` and observing `ctx` at each path's
+/// cancellation points (between chunks, and between claims). Every
+/// engine's pinned snapshot routes its scans through here.
 #[allow(clippy::too_many_arguments)]
 pub fn run_scheduled(
     table: &Table,
@@ -2720,41 +2451,27 @@ pub fn run_scheduled(
     if threads <= 1 {
         return aggregate_ctx(table, query, source, strategy, ctx);
     }
-    match cfg.sched {
-        SchedulingMode::Static => static_run(
-            table,
-            query,
-            source,
-            strategy,
-            threads,
-            cfg.fault,
-            Some(stats),
-            ctx,
-        ),
-        SchedulingMode::Morsel => {
-            let (rt, scanned, metrics) = morsel_run(
-                table,
-                query,
-                source,
-                strategy,
-                threads,
-                cfg.morsel_rows,
-                cfg.claim_batch,
-                cfg.fault,
-                Some(stats),
-                ctx,
-            )?;
-            if let Some(m) = &metrics {
-                stats.record_morsel(m);
-            }
-            Ok((rt, scanned))
-        }
+    let (rt, scanned, metrics) = morsel_run(
+        table,
+        query,
+        source,
+        strategy,
+        threads,
+        cfg.morsel_rows,
+        cfg.claim_batch,
+        cfg.fault,
+        Some(stats),
+        ctx,
+    )?;
+    if let Some(m) = &metrics {
+        stats.record_morsel(m);
     }
+    Ok((rt, scanned))
 }
 
 /// Decode composite codes, group consecutive rows sharing the same
 /// z-prefix, and sort by decoded values — shared by the serial and
-/// sharded paths.
+/// morsel paths.
 fn finalize_result(
     query: &SelectQuery,
     plan: &GroupPlan<'_>,
@@ -2910,12 +2627,8 @@ mod tests {
         let src = RowSource::All(t.num_rows());
         let (mut rt, scanned) = aggregate(&t, q, &src, strategy).unwrap();
         assert_eq!(scanned, 6);
-        // the sharded path must agree even on tiny inputs
-        let (par, par_scanned) = aggregate_parallel(&t, q, &src, strategy, 3).unwrap();
-        assert_eq!(par, rt);
-        assert_eq!(par_scanned, scanned);
-        // ...and so must the morsel path (which degenerates to the
-        // serial scan here: one morsel covers the whole table)
+        // the morsel path must agree even on tiny inputs (it degenerates
+        // to the serial scan here: one morsel covers the whole table)
         let (mor, mor_scanned, metrics) = aggregate_morsel(&t, q, &src, strategy, 3).unwrap();
         assert_eq!(mor, rt);
         assert_eq!(mor_scanned, scanned);
@@ -3018,16 +2731,14 @@ mod tests {
         let g = &rt.groups[0];
         assert_eq!(g.xs, vec![Value::Int(2014), Value::Int(2015)]);
         assert_eq!(g.ys[0], vec![7.0, 20.0]); // desk@2014 + (desk+chair)@2015
-                                              // Sharded and morsel paths must agree on the offset interval.
+
+        // The morsel path must agree on the offset interval.
         for threads in [2, 3] {
             let make = || RowSource::Range {
                 start: 3,
                 end: 6,
                 pred: None,
             };
-            let (par, n) =
-                aggregate_parallel(&t, &q, &make(), GroupStrategy::Dense, threads).unwrap();
-            assert_eq!((par, n), (rt.clone(), scanned));
             let (mor, n, _) =
                 aggregate_morsel(&t, &q, &make(), GroupStrategy::Dense, threads).unwrap();
             assert_eq!((mor, n), (rt.clone(), scanned));
@@ -3147,7 +2858,7 @@ mod tests {
         let (rt, scanned) = aggregate(&t, &q, &src, GroupStrategy::Dense).unwrap();
         assert!(rt.is_empty());
         assert_eq!(scanned, 0);
-        let (rt, scanned) = aggregate_parallel(&t, &q, &src, GroupStrategy::Hash, 4).unwrap();
+        let (rt, scanned, _) = aggregate_morsel(&t, &q, &src, GroupStrategy::Hash, 4).unwrap();
         assert!(rt.is_empty());
         assert_eq!(scanned, 0);
     }
@@ -3172,7 +2883,6 @@ mod tests {
     fn parallel_config_gates_small_scans() {
         let cfg = ParallelConfig::default();
         assert_eq!(cfg.threads_for(10), 1, "tiny scans stay serial");
-        assert_eq!(cfg.sched, SchedulingMode::Morsel, "morsel is the default");
         let explicit = ParallelConfig {
             threads: 4,
             min_parallel_rows: 0,
@@ -3187,12 +2897,11 @@ mod tests {
         assert_eq!(serial.threads, 1);
         assert_eq!(serial.threads_for(usize::MAX - 1), 1);
 
-        // Pinning a scheduler does not change *when* scans go parallel…
-        let stat = ParallelConfig::from_env_spec(Some("static"), Some("2"), None, None, None);
-        assert_eq!(stat.sched, SchedulingMode::Static);
-        assert_eq!(stat.threads, 2);
+        // Naming the scheduler does not change *when* scans go parallel…
+        let morsel = ParallelConfig::from_env_spec(Some("morsel"), Some("2"), None, None, None);
+        assert_eq!(morsel.threads, 2);
         assert_eq!(
-            stat.min_parallel_rows,
+            morsel.min_parallel_rows,
             ParallelConfig::default().min_parallel_rows,
             "mode alone must not drop the serial gate"
         );
@@ -3206,7 +2915,6 @@ mod tests {
             Some("256"),
             Some("4"),
         );
-        assert_eq!(forced.sched, SchedulingMode::Morsel);
         assert_eq!(forced.threads, 3);
         assert_eq!(forced.threads_for(1), 3);
         assert_eq!(forced.morsel_rows, 256);
@@ -3243,6 +2951,18 @@ mod tests {
         ] {
             assert!(bad.is_err(), "invalid ZV_SCHED_* values must panic");
         }
+
+        // The static scheduler is gone: naming it fails loudly, and the
+        // message lists the modes that remain.
+        let gone = std::panic::catch_unwind(|| {
+            ParallelConfig::from_env_spec(Some("static"), Some("2"), None, None, None)
+        })
+        .expect_err("ZV_SCHED_MODE=static must panic");
+        let msg = gone.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("serial") && msg.contains("morsel"),
+            "panic names the valid modes: {msg:?}"
+        );
     }
 
     /// A table big enough for several morsels, with values exactly
@@ -3290,9 +3010,9 @@ mod tests {
     }
 
     #[test]
-    fn morsel_skewed_filter_matches_serial_and_static() {
+    fn morsel_skewed_filter_matches_serial() {
         // All matching rows cluster in the first eighth of the table —
-        // the shape that starves a static split.
+        // the shape that would starve a fixed contiguous split.
         let rows = 4 * MORSEL_ROWS;
         let t = wide_table(rows);
         let q = SelectQuery::new(XSpec::raw("key"), vec![YSpec::sum("val")]);
@@ -3304,13 +3024,9 @@ mod tests {
         for strategy in [GroupStrategy::Dense, GroupStrategy::Hash] {
             let (serial, scanned) = aggregate(&t, &q, &make_src(), strategy).unwrap();
             for threads in [2usize, 3, 5] {
-                let (stat, stat_scanned) =
-                    aggregate_parallel(&t, &q, &make_src(), strategy, threads).unwrap();
                 let (mor, mor_scanned, _) =
                     aggregate_morsel(&t, &q, &make_src(), strategy, threads).unwrap();
-                assert_eq!(stat, serial, "{strategy:?} static × {threads}");
                 assert_eq!(mor, serial, "{strategy:?} morsel × {threads}");
-                assert_eq!(stat_scanned, scanned);
                 assert_eq!(mor_scanned, scanned);
             }
         }
@@ -3363,11 +3079,8 @@ mod tests {
 
         // Pre-cancelled: no scheduler may scan a single row.
         type Run = fn(&Table, &SelectQuery, &RowSource<'_>, &QueryCtx) -> Result<(), StorageError>;
-        let runs: [Run; 3] = [
+        let runs: [Run; 2] = [
             |t, q, src, ctx| aggregate_ctx(t, q, src, GroupStrategy::Dense, ctx).map(|_| ()),
-            |t, q, src, ctx| {
-                aggregate_parallel_ctx(t, q, src, GroupStrategy::Dense, 3, ctx).map(|_| ())
-            },
             |t, q, src, ctx| {
                 aggregate_morsel_ctx(t, q, src, GroupStrategy::Dense, 3, MORSEL_ROWS, 1, ctx)
                     .map(|_| ())

@@ -3,8 +3,9 @@
 //! The storage and query-execution substrate of the zenvisage
 //! reproduction: an in-memory columnar store with from-scratch Roaring
 //! bitmap indexes ([`BitmapDb`]) and a conventional scan-based comparator
-//! ([`ScanDb`]), both serving the canonical grouped-aggregate query shape
-//! that every ZQL visualization compiles to (thesis §5.1):
+//! ([`ScanDb`]) — one [`Engine`] shell over two access paths — both
+//! serving the canonical grouped-aggregate query shape that every ZQL
+//! visualization compiles to (thesis §5.1):
 //!
 //! ```sql
 //! SELECT X, F(Y) [, Z] WHERE ... GROUP BY Z, X ORDER BY Z, X
@@ -38,6 +39,7 @@ pub mod bitmap_db;
 pub mod cache;
 pub mod column;
 pub mod db;
+pub mod engine;
 pub mod exec;
 pub mod fault;
 pub mod json;
@@ -62,7 +64,8 @@ pub use column::{
     FloatColumn, IntColumn,
 };
 pub use db::{Database, DynDatabase, EngineSnapshot};
-pub use exec::{GroupStrategy, MorselMetrics, ParallelConfig, SchedulingMode};
+pub use engine::{AccessPath, Engine, EngineConfig};
+pub use exec::{GroupStrategy, MorselMetrics, ParallelConfig};
 pub use fault::{FaultPoint, FaultSpec};
 pub use json::{Json, JsonError};
 pub use lifecycle::{CancelReason, QueryCtx, QueryCtxStats};

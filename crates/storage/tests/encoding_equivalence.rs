@@ -28,8 +28,8 @@ use zv_storage::exec::ParallelConfig;
 use zv_storage::fault::{self, FaultPoint, FaultSpec, PANIC_MARKER};
 use zv_storage::{
     Agg, Atom, BitmapDb, BitmapDbConfig, CmpOp, DataType, Database, DynDatabase, Field, Predicate,
-    QueryCtx, ScanDb, ScanDbConfig, SchedulingMode, Schema, SelectQuery, StorageError, Table,
-    TableBuilder, Value, XSpec, YSpec,
+    QueryCtx, ScanDb, ScanDbConfig, Schema, SelectQuery, StorageError, Table, TableBuilder, Value,
+    XSpec, YSpec,
 };
 
 /// One run of identical rows. Runs are what make the generated data
@@ -85,7 +85,6 @@ fn sharded() -> ParallelConfig {
         // Tiny morsels so small proptest tables still fan out; 64 also
         // aligns morsel boundaries with force-mode chunk seams.
         morsel_rows: 64,
-        sched: SchedulingMode::Morsel,
         fault: FaultSpec::disabled(),
         ..Default::default()
     }
@@ -335,7 +334,6 @@ fn chunk_scan_panics_over_packed_chunks_recover_to_plain_result() {
             parallel: ParallelConfig {
                 threads: 4,
                 min_parallel_rows: 0,
-                sched: SchedulingMode::Morsel,
                 morsel_rows,
                 fault: spec,
                 ..Default::default()

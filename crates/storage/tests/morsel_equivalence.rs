@@ -1,7 +1,7 @@
-//! Morsel ≡ static ≡ serial equivalence under *skewed* predicates — the
-//! workload morsel claiming exists for: a selective filter whose matching
-//! rows cluster in one region of the table, so a static contiguous split
-//! strands all the accumulation work on one worker.
+//! Morsel ≡ serial equivalence under *skewed* predicates — the workload
+//! morsel claiming exists for: a selective filter whose matching rows
+//! cluster in one region of the table, so a fixed contiguous split would
+//! strand all the accumulation work on one worker.
 //!
 //! Measure values are exact dyadic rationals (multiples of 0.25 well
 //! below 2⁵³), so float sums are associative on this data and bit-for-bit
@@ -12,13 +12,12 @@
 
 use proptest::prelude::*;
 use zv_storage::exec::{
-    aggregate, aggregate_morsel, aggregate_morsel_sized, aggregate_parallel, compile_pred,
-    GroupStrategy, RowSource,
+    aggregate, aggregate_morsel, aggregate_morsel_sized, compile_pred, GroupStrategy, RowSource,
 };
 use zv_storage::{
     Agg, Atom, BitmapDb, BitmapDbConfig, CmpOp, DataType, Database, Field, ParallelConfig,
-    Predicate, RoaringBitmap, ScanDb, ScanDbConfig, SchedulingMode, Schema, SelectQuery, Table,
-    TableBuilder, Value, XSpec, YSpec,
+    Predicate, RoaringBitmap, ScanDb, ScanDbConfig, Schema, SelectQuery, Table, TableBuilder,
+    Value, XSpec, YSpec,
 };
 
 /// `rows` rows whose `region` column marks position in the table (8
@@ -62,8 +61,8 @@ fn all_agg_query() -> SelectQuery {
     )
 }
 
-/// Serial, static×t, and morsel×t (tiny morsels, so even proptest-sized
-/// tables fan out across many claims) must agree bit-for-bit.
+/// Serial and morsel×t (tiny morsels, so even proptest-sized tables fan
+/// out across many claims) must agree bit-for-bit.
 fn assert_scheduling_equivalent<'t>(
     table: &'t Table,
     query: &SelectQuery,
@@ -73,11 +72,6 @@ fn assert_scheduling_equivalent<'t>(
         let (serial, serial_scanned) =
             aggregate(table, query, &make_source(), strategy).expect("serial");
         for threads in [2usize, 3, 8] {
-            let (stat, stat_scanned) =
-                aggregate_parallel(table, query, &make_source(), strategy, threads)
-                    .expect("static");
-            assert_eq!(stat, serial, "static({threads}) differs under {strategy:?}");
-            assert_eq!(stat_scanned, serial_scanned);
             for morsel_rows in [64usize, 257] {
                 let (mor, mor_scanned, _) = aggregate_morsel_sized(
                     table,
@@ -219,8 +213,8 @@ proptest! {
     }
 }
 
-/// Engine-level: both engines forced into serial / static / morsel
-/// routing must agree query-for-query on a table large enough for real
+/// Engine-level: both engines forced into serial / morsel routing must
+/// agree query-for-query on a table large enough for real
 /// production-size morsels, with the matches clustered in one stripe.
 #[test]
 fn engines_agree_across_scheduling_modes_under_skew() {
@@ -230,16 +224,9 @@ fn engines_agree_across_scheduling_modes_under_skew() {
         min_parallel_rows: usize::MAX,
         ..Default::default()
     };
-    let stat = ParallelConfig {
-        threads: 4,
-        min_parallel_rows: 0,
-        sched: SchedulingMode::Static,
-        ..Default::default()
-    };
     let morsel = ParallelConfig {
         threads: 4,
         min_parallel_rows: 0,
-        sched: SchedulingMode::Morsel,
         ..Default::default()
     };
 
@@ -273,10 +260,8 @@ fn engines_agree_across_scheduling_modes_under_skew() {
 
     let reference = bitmap(serial);
     let engines: Vec<(&str, Box<dyn Database>)> = vec![
-        ("bitmap/static", Box::new(bitmap(stat))),
         ("bitmap/morsel", Box::new(bitmap(morsel))),
         ("scan/serial", Box::new(scan(serial))),
-        ("scan/static", Box::new(scan(stat))),
         ("scan/morsel", Box::new(scan(morsel))),
     ];
     for q in &queries {
@@ -306,24 +291,18 @@ fn engines_agree_across_scheduling_modes_under_skew() {
 fn scheduling_matrix_env_specs() {
     let serial = ParallelConfig::from_env_spec(Some("serial"), None, None, None, None);
     assert_eq!(serial.threads_for(usize::MAX - 1), 1);
-    for (mode, sched) in [
-        ("static", SchedulingMode::Static),
-        ("morsel", SchedulingMode::Morsel),
-    ] {
-        // The matrix combines a forced scheduler with ZV_SCHED_MIN_ROWS=0
-        // (tiny scans go parallel) and ZV_SCHED_MORSEL_ROWS=256 (tiny
-        // tables still split into many claimable morsels).
-        let cfg =
-            ParallelConfig::from_env_spec(Some(mode), Some("2"), Some("0"), Some("256"), None);
-        assert_eq!(cfg.sched, sched);
-        assert_eq!(cfg.threads, 2);
-        assert_eq!(cfg.morsel_rows, 256);
-        assert_eq!(
-            cfg.threads_for(1),
-            2,
-            "forced modes must fan out tiny scans"
-        );
-    }
+    // The matrix combines the morsel scheduler with ZV_SCHED_MIN_ROWS=0
+    // (tiny scans go parallel) and ZV_SCHED_MORSEL_ROWS=256 (tiny tables
+    // still split into many claimable morsels).
+    let cfg =
+        ParallelConfig::from_env_spec(Some("morsel"), Some("2"), Some("0"), Some("256"), None);
+    assert_eq!(cfg.threads, 2);
+    assert_eq!(cfg.morsel_rows, 256);
+    assert_eq!(
+        cfg.threads_for(1),
+        2,
+        "the forced mode must fan out tiny scans"
+    );
 }
 
 /// Full-size morsels on a multi-morsel table (no size hook): the

@@ -1,16 +1,18 @@
-//! Parallel ≡ serial equivalence: `aggregate_parallel` must produce the
-//! *identical* `ResultTable` (same groups, same ordering, same values)
-//! and the same scanned count as the serial `aggregate`, across
-//! Dense/Hash strategies, every row-source shape, every `Agg` variant
-//! (including Min/Max), and assorted thread counts.
+//! Parallel ≡ serial equivalence: the morsel scheduler
+//! (`aggregate_morsel_sized`, with morsels small enough that proptest
+//! tables split into many claims) must produce the *identical*
+//! `ResultTable` (same groups, same ordering, same values) and the same
+//! scanned count as the serial `aggregate`, across Dense/Hash
+//! strategies, every row-source shape, every `Agg` variant (including
+//! Min/Max), and assorted thread counts.
 //!
 //! Measure values are generated as exact dyadic rationals (multiples of
 //! 0.25 well below 2⁵³), so float sums are associative on this data and
-//! bit-for-bit equality is the correct assertion — shard boundaries must
-//! not change any result.
+//! bit-for-bit equality is the correct assertion — morsel boundaries
+//! must not change any result.
 
 use proptest::prelude::*;
-use zv_storage::exec::{aggregate, aggregate_parallel, compile_pred, GroupStrategy, RowSource};
+use zv_storage::exec::{aggregate, aggregate_morsel_sized, compile_pred, GroupStrategy, RowSource};
 use zv_storage::{
     Agg, Atom, BitmapDb, BitmapDbConfig, CmpOp, DataType, Database, Field, ParallelConfig,
     Predicate, RoaringBitmap, Schema, SelectQuery, Table, TableBuilder, Value, XSpec, YSpec,
@@ -52,9 +54,13 @@ fn all_agg_query() -> SelectQuery {
     )
 }
 
+/// Morsel sizes for the proptests: tables of up to 300 rows split into
+/// many claims, with boundaries that do not line up with anything.
+const MORSEL_ROWS: [usize; 2] = [16, 61];
+
 /// Assert serial and parallel agree for one (query, source-builder) pair
-/// across strategies and thread counts. The source is rebuilt per run
-/// because `RowSource` borrows the table.
+/// across strategies, thread counts and morsel sizes. The source is
+/// rebuilt per run because `RowSource` borrows the table.
 fn assert_equivalent<'t>(
     table: &'t Table,
     query: &SelectQuery,
@@ -64,17 +70,26 @@ fn assert_equivalent<'t>(
         let (serial, serial_scanned) =
             aggregate(table, query, &make_source(), strategy).expect("serial");
         for threads in [2usize, 3, 8] {
-            let (par, par_scanned) =
-                aggregate_parallel(table, query, &make_source(), strategy, threads)
-                    .expect("parallel");
-            assert_eq!(
-                par, serial,
-                "parallel({threads}) differs from serial under {strategy:?}"
-            );
-            assert_eq!(
-                par_scanned, serial_scanned,
-                "scanned counts differ under {strategy:?} × {threads} threads"
-            );
+            for morsel_rows in MORSEL_ROWS {
+                let (par, par_scanned, _) = aggregate_morsel_sized(
+                    table,
+                    query,
+                    &make_source(),
+                    strategy,
+                    threads,
+                    morsel_rows,
+                )
+                .expect("parallel");
+                assert_eq!(
+                    par, serial,
+                    "parallel({threads}, {morsel_rows}-row morsels) differs from serial \
+                     under {strategy:?}"
+                );
+                assert_eq!(
+                    par_scanned, serial_scanned,
+                    "scanned counts differ under {strategy:?} × {threads} threads"
+                );
+            }
         }
         // Dense and Hash must also agree with each other.
         let (other, _) = aggregate(
@@ -199,8 +214,8 @@ proptest! {
     }
 }
 
-/// Shard boundaries at 10k rows exercise multi-chunk shards (chunk size
-/// is 4096) with every thread count from 1 to 9.
+/// 1,500-row morsels over 10k rows exercise morsels that straddle chunk
+/// boundaries (chunk size is 4096) with every thread count from 1 to 9.
 #[test]
 fn many_rows_many_threads() {
     let rows: Vec<(i64, u8, u8, i16)> = (0..10_000)
@@ -220,12 +235,13 @@ fn many_rows_many_threads() {
             aggregate(&table, &query, &RowSource::All(table.num_rows()), strategy).unwrap();
         assert_eq!(scanned, 10_000);
         for threads in 1..=9 {
-            let (par, par_scanned) = aggregate_parallel(
+            let (par, par_scanned, _) = aggregate_morsel_sized(
                 &table,
                 &query,
                 &RowSource::All(table.num_rows()),
                 strategy,
                 threads,
+                1_500,
             )
             .unwrap();
             assert_eq!(par, serial, "{strategy:?} × {threads}");
